@@ -136,11 +136,11 @@ func (c Comparison) Vars() []string {
 
 // CondExpr is the optional extra head condition of a rule (the […]
 // annotation), a boolean expression over comparisons. It may reference
-// program variables, which are substituted at head instantiation.
+// program variables, which are substituted at head instantiation. The
+// engine compiles it once per evaluation (see compileCond).
 type CondExpr interface {
 	String() string
 	vars(dst []string) []string
-	instantiate(bind map[string]cond.Term) (*cond.Formula, error)
 }
 
 // CondComp wraps a comparison as a condition expression.
@@ -187,71 +187,6 @@ func (e CondOr) vars(dst []string) []string {
 	return dst
 }
 func (e CondNot) vars(dst []string) []string { return e.Sub.vars(dst) }
-
-func (e CondComp) instantiate(bind map[string]cond.Term) (*cond.Formula, error) {
-	return instantiateComparison(e.Comp, bind)
-}
-
-func (e CondAnd) instantiate(bind map[string]cond.Term) (*cond.Formula, error) {
-	fs := make([]*cond.Formula, len(e.Sub))
-	var err error
-	for i, s := range e.Sub {
-		if fs[i], err = s.instantiate(bind); err != nil {
-			return nil, err
-		}
-	}
-	return cond.And(fs...), nil
-}
-
-func (e CondOr) instantiate(bind map[string]cond.Term) (*cond.Formula, error) {
-	fs := make([]*cond.Formula, len(e.Sub))
-	var err error
-	for i, s := range e.Sub {
-		if fs[i], err = s.instantiate(bind); err != nil {
-			return nil, err
-		}
-	}
-	return cond.Or(fs...), nil
-}
-
-func (e CondNot) instantiate(bind map[string]cond.Term) (*cond.Formula, error) {
-	f, err := e.Sub.instantiate(bind)
-	if err != nil {
-		return nil, err
-	}
-	return cond.Not(f), nil
-}
-
-// instantiateComparison grounds a comparison's terms under bind and
-// builds the corresponding condition atom.
-func instantiateComparison(c Comparison, bind map[string]cond.Term) (*cond.Formula, error) {
-	sum := make([]cond.Term, len(c.Sum))
-	for i, t := range c.Sum {
-		v, err := resolveTerm(t, bind)
-		if err != nil {
-			return nil, err
-		}
-		sum[i] = v
-	}
-	rhs, err := resolveTerm(c.RHS, bind)
-	if err != nil {
-		return nil, err
-	}
-	return cond.AtomF(cond.NewSumAtom(sum, c.Op, rhs)), nil
-}
-
-func resolveTerm(t Term, bind map[string]cond.Term) (cond.Term, error) {
-	switch t.Kind {
-	case TVar:
-		v, ok := bind[t.Name]
-		if !ok {
-			return cond.Term{}, fmt.Errorf("faurelog: unbound variable %s in comparison", t.Name)
-		}
-		return v, nil
-	default:
-		return t.Symbol(), nil
-	}
-}
 
 // Rule is H(u)[extra] :- B1(u1), ..., Bn(un), C1, ..., Cm. Body-tuple
 // conditions are implicitly conjoined into the head (that is all

@@ -305,9 +305,16 @@ func EvalQuery(prog *Program, db *ctable.Database, pred string, opts Options) (*
 }
 
 type engine struct {
-	prog  *Program
+	prog *Program
+	// rules holds the program's rules compiled once for this
+	// evaluation, index-aligned with prog.Rules.
+	rules []*compiledRule
 	db    *ctable.Database
 	opts  Options
+	// store holds only the relations the program reads or writes (plus
+	// the relations an increment adds to), loaded before the first
+	// round so workers only ever read it; every other input table
+	// reaches the result through db.Clone.
 	store *relstore.Store
 	sol   *solver.Solver
 	// seen dedups tuples per predicate by identity: a 128-bit hash of
@@ -379,7 +386,7 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 		prog:  prog,
 		db:    db,
 		opts:  opts,
-		store: relstore.FromDatabase(db),
+		store: relstore.NewStore(),
 		sol:   solver.New(db.Doms),
 		seen:  map[string]map[ctable.TupleID]struct{}{},
 		conds: map[string]map[[2]uint64][]*cond.Formula{},
@@ -425,17 +432,39 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 		e.provStart = opts.Prov.Stats()
 	}
 	e.needSrcs = e.trace != nil || e.prov != nil
-	// Record arities: program predicates plus database relations.
+	e.rules = make([]*compiledRule, len(prog.Rules))
+	for i, r := range prog.Rules {
+		cr, err := compileRule(r, e.needSrcs)
+		if err != nil {
+			return nil, err
+		}
+		e.rules[i] = cr
+	}
+	// Record arities and load the relations the program names:
+	// program predicates plus database relations.
 	for _, r := range prog.Rules {
 		e.noteArity(r.Head.Pred, len(r.Head.Args))
+		e.load(r.Head.Pred)
 		for _, a := range r.Body {
 			e.noteArity(a.Pred, len(a.Args))
+			e.load(a.Pred)
 		}
 	}
 	for name, t := range db.Tables {
 		e.noteArity(name, t.Schema.Arity())
 	}
 	return e, nil
+}
+
+// load brings the named input table into the store, once. Called only
+// before the first round, so the store is a pure read for workers.
+func (e *engine) load(name string) {
+	if e.store.Rel(name) != nil {
+		return
+	}
+	if t := e.db.Table(name); t != nil {
+		e.store.Load(t)
+	}
 }
 
 func (e *engine) noteArity(pred string, n int) {
@@ -576,21 +605,28 @@ func (e *engine) runStrata(evalSpan obs.Span) error {
 		e.derivedOrder = append(e.derivedOrder, pred)
 	}
 	for si, preds := range strata {
-		inStratum := map[string]bool{}
-		for _, pr := range preds {
-			inStratum[pr] = true
-		}
-		var rules []Rule
-		for _, r := range e.prog.Rules {
-			if inStratum[r.Head.Pred] {
-				rules = append(rules, r)
-			}
-		}
+		rules, inStratum := e.stratumRules(preds)
 		if err := e.evalStratum(rules, inStratum, evalSpan, si); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// stratumRules returns the compiled rules defining one stratum's
+// predicates, in program order, and the stratum's predicate set.
+func (e *engine) stratumRules(preds []string) ([]*compiledRule, map[string]bool) {
+	inStratum := map[string]bool{}
+	for _, pr := range preds {
+		inStratum[pr] = true
+	}
+	var rules []*compiledRule
+	for _, cr := range e.rules {
+		if inStratum[cr.pred] {
+			rules = append(rules, cr)
+		}
+	}
+	return rules, inStratum
 }
 
 // reportTotals publishes the run's aggregate counters and the phase
@@ -638,9 +674,9 @@ func (e *engine) reportTotals(evalSpan obs.Span) {
 // predicates of a stratum.
 type delta map[string][]ctable.Tuple
 
-func (e *engine) evalStratum(rules []Rule, recursive map[string]bool, evalSpan obs.Span, stratum int) error {
-	for _, r := range rules {
-		e.store.Ensure(r.Head.Pred, len(r.Head.Args))
+func (e *engine) evalStratum(rules []*compiledRule, recursive map[string]bool, evalSpan obs.Span, stratum int) error {
+	for _, cr := range rules {
+		e.store.Ensure(cr.pred, len(cr.head))
 	}
 	cur := delta{}
 	sink := func(pred string, tp ctable.Tuple) {
@@ -648,8 +684,8 @@ func (e *engine) evalStratum(rules []Rule, recursive map[string]bool, evalSpan o
 	}
 	// Round zero: evaluate every rule in full.
 	units := make([]unit, 0, len(rules))
-	for _, r := range rules {
-		units = append(units, unit{r: r, deltaIdx: -1})
+	for _, cr := range rules {
+		units = append(units, unit{p: cr.plan(-1)})
 	}
 	if err := e.runRound(units, sink, evalSpan, stratum, 0); err != nil {
 		return err
@@ -662,8 +698,8 @@ func (e *engine) evalStratum(rules []Rule, recursive map[string]bool, evalSpan o
 		prev := cur
 		cur = delta{}
 		units = units[:0]
-		for _, r := range rules {
-			for i, a := range r.Body {
+		for _, cr := range rules {
+			for i, a := range cr.rule.Body {
 				if a.Neg || !recursive[a.Pred] {
 					continue
 				}
@@ -671,7 +707,7 @@ func (e *engine) evalStratum(rules []Rule, recursive map[string]bool, evalSpan o
 				if len(d) == 0 {
 					continue
 				}
-				units = append(units, unit{r: r, deltaIdx: i, delta: d})
+				units = append(units, unit{p: cr.plan(i), delta: d})
 			}
 		}
 		if err := e.runRound(units, sink, evalSpan, stratum, iter+1); err != nil {
@@ -741,7 +777,7 @@ func (e *engine) flushPending() error {
 
 func (e *engine) runRoundSeq(units []unit, sink func(string, ctable.Tuple), itSpan obs.Span) error {
 	for _, u := range units {
-		if err := e.deriveRuleObserved(u.r, u.deltaIdx, u.delta, sink, itSpan); err != nil {
+		if err := e.deriveRuleObserved(u.p, u.delta, sink, itSpan); err != nil {
 			return err
 		}
 	}
@@ -775,63 +811,43 @@ func (e *engine) annotate(err error, stratum, round int) error {
 }
 
 // emitFn receives each completed body match of a rule application:
-// the rule, the final variable bindings, the accumulated body
-// conditions and (when tracing) the source tuples. The sequential
+// the rule plan, the final slot bindings, the accumulated body
+// conditions and (when tracing) the source tuples. The slots, conds
+// and srcs slices are only valid during the call. The sequential
 // engine plugs in emit directly; the parallel workers plug in a
 // candidate collector (see runUnit).
-type emitFn func(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source) error
+type emitFn func(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source) error
 
 // deriveRuleObserved wraps deriveRule in a "rule" span recording the
 // head predicate and how many tuples the application derived. With
 // observation off it is a tail call into deriveRule.
-func (e *engine) deriveRuleObserved(r Rule, deltaIdx int, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple), itSpan obs.Span) error {
-	emit := func(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source) error {
-		return e.emit(r, bind, conds, srcs, sink)
+func (e *engine) deriveRuleObserved(p *rulePlan, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple), itSpan obs.Span) error {
+	emit := func(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source) error {
+		return e.emit(p, slots, conds, srcs, sink)
 	}
 	if !e.obsOn {
-		return e.deriveRule(r, deltaIdx, deltaTuples, emit)
+		return e.deriveRule(p, deltaTuples, emit)
 	}
-	sp := itSpan.StartChild("rule", obs.String("head", r.Head.Pred))
+	sp := itSpan.StartChild("rule", obs.String("head", p.pred))
 	before := e.stats.Derived
-	err := e.deriveRule(r, deltaIdx, deltaTuples, emit)
+	err := e.deriveRule(p, deltaTuples, emit)
 	derived := int64(e.stats.Derived - before)
 	sp.SetAttrs(obs.Int("derived", derived))
 	sp.End()
-	e.o.Count("eval.rule_derived."+r.Head.Pred, derived)
+	e.o.Count("eval.rule_derived."+p.pred, derived)
 	return err
 }
 
-// deriveRule joins the rule body — with the deltaIdx-th literal
-// (an index into r.Body) restricted to deltaTuples when deltaIdx >= 0
-// — and inserts the resulting head tuples. Newly inserted tuples are
-// reported to sink.
-//
-// The body is evaluated positives-first so that every negated
-// literal's variables are bound before it is reached, whatever order
-// the rule was written in (safety is validated, so the reordering
-// always succeeds).
-func (e *engine) deriveRule(r Rule, deltaIdx int, deltaTuples []ctable.Tuple, emit emitFn) error {
+// deriveRule joins the rule body in the plan's canonical order — the
+// fed literal (restricted to deltaTuples) first, the other positives
+// in written order, then the negations, whose variables are all bound
+// by then (safety is validated) — and hands every completed match to
+// emit.
+func (e *engine) deriveRule(p *rulePlan, deltaTuples []ctable.Tuple, emit emitFn) error {
 	// Per-rule-application poll; the empty location is filled in with
 	// the stratum and round by the caller's annotate.
 	if err := e.bud.Check(""); err != nil {
 		return err
-	}
-	ordered := r
-	if reordered, mapped := reorderBody(r, deltaIdx); reordered != nil {
-		ordered.Body = reordered
-		deltaIdx = mapped
-	}
-	// Join the delta literal first: its tuples are a plain slice, so
-	// leaving it deep in the join would make every outer combination
-	// scan it linearly, while putting it first lets the remaining
-	// literals use index probes on the variables it binds.
-	if deltaIdx > 0 {
-		body := make([]Atom, 0, len(ordered.Body))
-		body = append(body, ordered.Body[deltaIdx])
-		body = append(body, ordered.Body[:deltaIdx]...)
-		body = append(body, ordered.Body[deltaIdx+1:]...)
-		ordered.Body = body
-		deltaIdx = 0
 	}
 	// Cost-guided planning: when the greedy cost model finds a cheaper
 	// positive-literal order than the written one, run the planned
@@ -839,237 +855,133 @@ func (e *engine) deriveRule(r Rule, deltaIdx int, deltaTuples []ctable.Tuple, em
 	// written order, so the emissions below are bit-identical either
 	// way (see plan.go). A plan identical to the written order falls
 	// through to the streaming join, which costs nothing extra.
-	if !e.opts.NoPlan {
-		nPos := len(ordered.Body)
-		for i, a := range ordered.Body {
-			if a.Neg {
-				nPos = i
-				break
-			}
-		}
-		if nPos > 1 {
-			order, changed := e.planPositives(ordered, deltaIdx, nPos)
-			e.plansPlanned.Add(1)
-			if changed {
-				e.plansReordered.Add(1)
-				return e.runPlanned(ordered, deltaIdx, deltaTuples, order, nPos, emit)
-			}
+	if !e.opts.NoPlan && p.nPos > 1 {
+		order, changed := e.planPositives(p)
+		e.plansPlanned.Add(1)
+		if changed {
+			e.plansReordered.Add(1)
+			return e.runPlanned(p, deltaTuples, order, emit)
 		}
 	}
-	bind := map[string]cond.Term{}
-	conds := make([]*cond.Formula, 0, len(ordered.Body)+len(ordered.Comps)+1)
+	j := &join{e: e, p: p, delta: deltaTuples, emit: emit, m: newMatcher(p), rels: e.rels(p)}
+	conds := make([]*cond.Formula, 0, 2*len(p.lits)+1)
 	var srcs []Source
 	if e.needSrcs {
-		srcs = make([]Source, 0, len(ordered.Body))
+		srcs = make([]Source, 0, len(p.lits))
 	}
-	return e.join(ordered, 0, bind, conds, srcs, deltaIdx, deltaTuples, emit)
+	return j.run(0, conds, srcs)
 }
 
-// reorderBody moves negated literals after the positive ones (stable
-// within each group) and remaps the delta index. It returns (nil, _)
-// when the body is already in order.
-func reorderBody(r Rule, deltaIdx int) ([]Atom, int) {
-	inOrder := true
-	seenNeg := false
-	for _, a := range r.Body {
-		if a.Neg {
-			seenNeg = true
-		} else if seenNeg {
-			inOrder = false
-			break
-		}
+// rels resolves the plan's literals to the store's relations (nil for
+// a relation that does not exist), once per rule application.
+func (e *engine) rels(p *rulePlan) []*relstore.Relation {
+	rels := make([]*relstore.Relation, len(p.lits))
+	for i := range p.lits {
+		rels[i] = e.store.Rel(p.lits[i].pred)
 	}
-	if inOrder {
-		return nil, deltaIdx
-	}
-	out := make([]Atom, 0, len(r.Body))
-	mapped := deltaIdx
-	for i, a := range r.Body {
-		if !a.Neg {
-			if i == deltaIdx {
-				mapped = len(out)
-			}
-			out = append(out, a)
-		}
-	}
-	for _, a := range r.Body {
-		if a.Neg {
-			out = append(out, a)
-		}
-	}
-	return out, mapped
+	return rels
 }
 
-// join is safe to call from worker goroutines when emit is: besides
-// emit it touches only the frozen store, the (atomic) budget and
-// read-only engine configuration.
-func (e *engine) join(r Rule, i int, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source, deltaIdx int, deltaTuples []ctable.Tuple, emit emitFn) error {
-	if i == len(r.Body) {
-		return emit(r, bind, conds, srcs)
+// join is one streaming rule application. It is safe to run on a
+// worker goroutine when emit is: besides emit it touches only the
+// frozen store, the (atomic) budget and read-only engine
+// configuration.
+type join struct {
+	e     *engine
+	p     *rulePlan
+	delta []ctable.Tuple
+	emit  emitFn
+	m     *matcher
+	rels  []*relstore.Relation
+}
+
+func (j *join) run(i int, conds []*cond.Formula, srcs []Source) error {
+	p := j.p
+	if i == len(p.lits) {
+		return j.emit(p, j.m.slots, conds, srcs)
 	}
-	a := r.Body[i]
-	if a.Neg {
-		f, pattern, err := e.negationCondition(a, bind)
-		if err != nil {
-			return err
-		}
+	l := &p.lits[i]
+	if l.neg {
+		f, pattern := j.e.negation(l, j.rels[i], j.m.slots)
 		if f.IsFalse() {
 			return nil
 		}
 		next := srcs
-		if e.needSrcs {
-			next = append(srcs, Source{Pred: a.Pred, Tuple: ctable.NewTuple(pattern, f), Negated: true})
+		if j.e.needSrcs {
+			next = append(srcs, Source{Pred: l.pred, Tuple: ctable.NewTuple(pattern, f), Negated: true})
 		}
-		return e.join(r, i+1, bind, append(conds, f), next, deltaIdx, deltaTuples, emit)
+		return j.run(i+1, append(conds, f), next)
 	}
-
-	tryTuple := func(tp ctable.Tuple) error {
-		extra, undo, ok := e.matchAtom(a, tp, bind)
-		if !ok {
-			return nil
-		}
-		next := append(conds, tp.Condition())
-		if !extra.IsTrue() {
-			next = append(next, extra)
-		}
-		nextSrcs := srcs
-		if e.needSrcs {
-			nextSrcs = append(srcs, Source{Pred: a.Pred, Tuple: tp})
-		}
-		if err := e.join(r, i+1, bind, next, nextSrcs, deltaIdx, deltaTuples, emit); err != nil {
-			return err
-		}
-		for _, v := range undo {
-			delete(bind, v)
-		}
-		return nil
-	}
-	if i == deltaIdx {
-		for _, tp := range deltaTuples {
-			if err := tryTuple(tp); err != nil {
+	if i == 0 && p.fed {
+		for _, tp := range j.delta {
+			if err := j.visit(i, tp, conds, srcs); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	rel := e.store.Rel(a.Pred)
+	rel := j.rels[i]
 	if rel == nil {
 		return nil
 	}
-	for _, idx := range e.candidateIdxs(rel, a, bind) {
-		if err := tryTuple(rel.Tuple(idx)); err != nil {
+	for _, idx := range j.e.candidates(rel, l, j.m.slots) {
+		if err := j.visit(i, rel.Tuple(idx), conds, srcs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// candidateIdxs narrows the tuples to scan for a body literal using
-// the store's hash indexes: the first argument position that is a
-// constant (literal or already-bound variable) is probed. A matching
-// c-variable at that position is still a candidate (it may equal the
-// constant under a condition), so probes include the per-column
-// c-variable list.
-func (e *engine) candidateIdxs(rel *relstore.Relation, a Atom, bind map[string]cond.Term) []int {
+// visit matches the i-th literal against one tuple and, on success,
+// joins the rest of the body.
+func (j *join) visit(i int, tp ctable.Tuple, conds []*cond.Formula, srcs []Source) error {
+	l := &j.p.lits[i]
+	extra, ok := j.m.match(l, tp)
+	if !ok {
+		return nil
+	}
+	next := append(conds, tp.Condition())
+	if !extra.IsTrue() {
+		next = append(next, extra)
+	}
+	if j.e.needSrcs {
+		srcs = append(srcs, Source{Pred: l.pred, Tuple: tp})
+	}
+	return j.run(i+1, next, srcs)
+}
+
+// candidates narrows the tuples to scan for a positive literal using
+// the store's hash indexes: the first column bound to a constant
+// (literal, or a variable bound to a constant) is probed. A c-variable
+// at that column is still a candidate (it may equal the constant under
+// a condition), so probes include the column's c-variable list.
+func (e *engine) candidates(rel *relstore.Relation, l *litPlan, slots []cond.Term) []int {
 	if e.opts.NoIndex {
 		return rel.All()
 	}
-	for col, t := range a.Args {
-		var key cond.Term
-		switch t.Kind {
-		case TConst:
-			key = t.Const
-		case TVar:
-			b, ok := bind[t.Name]
-			if !ok || b.IsCVar() {
-				continue
-			}
-			key = b
-		default:
-			continue
-		}
+	if col, key, ok := l.probeKey(slots); ok {
 		return rel.Candidates(col, key)
 	}
 	return rel.All()
 }
 
-// matchAtom implements the c-valuation v^C for one body literal
-// against one tuple: program variables bind to the tuple's c-domain
-// symbols; constants match themselves directly or any c-variable via
-// an emitted equality; rule c-variables match themselves directly or
-// any other symbol via an emitted equality. It returns the emitted
-// condition, the variables newly bound (for backtracking), and whether
-// the match is syntactically possible at all.
-func (e *engine) matchAtom(a Atom, tp ctable.Tuple, bind map[string]cond.Term) (*cond.Formula, []string, bool) {
-	var undo []string
-	fail := func() (*cond.Formula, []string, bool) {
-		for _, v := range undo {
-			delete(bind, v)
-		}
-		return nil, nil, false
-	}
-	extras := make([]*cond.Formula, 0, 2)
-	for i, t := range a.Args {
-		v := tp.Values[i]
-		switch t.Kind {
-		case TConst:
-			if v.IsConst() {
-				if !t.Const.Equal(v) {
-					return fail()
-				}
-				continue
-			}
-			extras = append(extras, cond.Compare(v, cond.Eq, t.Const))
-		case TCVar:
-			s := cond.CVar(t.Name)
-			if s.Equal(v) {
-				continue
-			}
-			extras = append(extras, cond.Compare(s, cond.Eq, v))
-		case TVar:
-			if b, ok := bind[t.Name]; ok {
-				if b.Equal(v) {
-					continue
-				}
-				if b.IsConst() && v.IsConst() {
-					return fail()
-				}
-				extras = append(extras, cond.Compare(b, cond.Eq, v))
-				continue
-			}
-			bind[t.Name] = v
-			undo = append(undo, t.Name)
+// negation computes the "not derivable" condition for a negated
+// literal under the bindings: the negation of the disjunction, over
+// every tuple of the relation, of the equalities that would make the
+// tuple match, conjoined with the tuple's own condition. It also
+// returns the literal's instantiated pattern. An empty or missing
+// relation yields true.
+func (e *engine) negation(l *litPlan, rel *relstore.Relation, slots []cond.Term) (*cond.Formula, []cond.Term) {
+	pattern := make([]cond.Term, len(l.args))
+	for c := range l.args {
+		if a := &l.args[c]; a.kind == TVar {
+			pattern[c] = slots[a.slot]
+		} else {
+			pattern[c] = a.sym
 		}
 	}
-	f := cond.And(extras...)
-	if f.IsFalse() {
-		return fail()
-	}
-	return f, undo, true
-}
-
-// negationCondition computes the "not derivable" condition for a
-// negated literal under the current bindings: the negation of the
-// disjunction, over every tuple of the relation, of the equalities
-// that would make the tuple match, conjoined with the tuple's own
-// condition. An empty or missing relation yields true.
-func (e *engine) negationCondition(a Atom, bind map[string]cond.Term) (*cond.Formula, []cond.Term, error) {
-	pattern := make([]cond.Term, len(a.Args))
-	for i, t := range a.Args {
-		switch t.Kind {
-		case TVar:
-			b, ok := bind[t.Name]
-			if !ok {
-				return nil, nil, fmt.Errorf("faurelog: unbound variable %s in negated literal %v", t.Name, a)
-			}
-			pattern[i] = b
-		default:
-			pattern[i] = t.Symbol()
-		}
-	}
-	rel := e.store.Rel(a.Pred)
 	if rel == nil {
-		return cond.True(), pattern, nil
+		return cond.True(), pattern
 	}
 	// Probe the indexes for the pattern's constant columns instead of
 	// scanning: a tuple holding a different constant at a probed column
@@ -1083,9 +995,9 @@ func (e *engine) negationCondition(a Atom, bind map[string]cond.Term) (*cond.For
 	} else {
 		var cols []int
 		var keys []cond.Term
-		for i, pv := range pattern {
+		for c, pv := range pattern {
 			if pv.IsConst() {
-				cols = append(cols, i)
+				cols = append(cols, c)
 				keys = append(keys, pv)
 			}
 		}
@@ -1096,16 +1008,16 @@ func (e *engine) negationCondition(a Atom, bind map[string]cond.Term) (*cond.For
 		tp := rel.Tuple(idx)
 		eqs := make([]*cond.Formula, 0, len(pattern)+1)
 		possible := true
-		for i, pv := range pattern {
-			tv := tp.Values[i]
+		for c, pv := range pattern {
+			tv := tp.Values[c]
 			if pv.IsConst() && tv.IsConst() {
-				if !pv.Equal(tv) {
+				if pv != tv {
 					possible = false
 					break
 				}
 				continue
 			}
-			if pv.Equal(tv) {
+			if pv == tv {
 				continue
 			}
 			eqs = append(eqs, cond.Compare(pv, cond.Eq, tv))
@@ -1116,7 +1028,7 @@ func (e *engine) negationCondition(a Atom, bind map[string]cond.Term) (*cond.For
 		eqs = append(eqs, tp.Condition())
 		matches = append(matches, cond.And(eqs...))
 	}
-	return cond.Not(cond.Or(matches...)), pattern, nil
+	return cond.Not(cond.Or(matches...)), pattern
 }
 
 // emit instantiates the rule head under the completed bindings,
@@ -1124,8 +1036,8 @@ func (e *engine) negationCondition(a Atom, bind map[string]cond.Term) (*cond.For
 // and inserts the tuple. It is the sequential composition of the two
 // halves the parallel engine runs on different sides of its round
 // barrier: prepareEmit (worker-safe) and commit (serial).
-func (e *engine) emit(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source, sink func(string, ctable.Tuple)) error {
-	p, live, err := e.prepareEmit(r, bind, conds, srcs)
+func (e *engine) emit(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source, sink func(string, ctable.Tuple)) error {
+	pr, live, err := e.prepareEmit(p, slots, conds, srcs)
 	if err != nil {
 		return err
 	}
@@ -1133,7 +1045,7 @@ func (e *engine) emit(r Rule, bind map[string]cond.Term, conds []*cond.Formula, 
 		e.stats.Pruned++
 		return nil
 	}
-	return e.commit(p, false, false, sink)
+	return e.commit(pr, false, false, sink)
 }
 
 // prepared is the outcome of the worker-safe half of an emission: the
@@ -1147,11 +1059,11 @@ type prepared struct {
 	// source tuple's already-decided condition, which this round
 	// extended by a few atoms. The solver replays base's certificate
 	// (unsat verdict or satisfying witness) before searching cond.
-	base *cond.Formula
-	key  ctable.TupleID
-	dataKey [2]uint64 // data-part hash, for absorption grouping
-	ruleStr string    // set when tracing or recording provenance
-	srcs    []Source  // copied, set when tracing or recording provenance
+	base    *cond.Formula
+	key     ctable.TupleID
+	dataKey [2]uint64     // data-part hash, for absorption grouping
+	rule    *compiledRule // the deriving rule, for its strings
+	srcs    []Source      // copied, set when tracing or recording provenance
 	// worker is the preparing worker's index (0 sequentially); recorded
 	// as provenance diagnostics, never part of canonical output.
 	worker int
@@ -1159,22 +1071,28 @@ type prepared struct {
 
 // prepareEmit builds the head tuple for completed bindings. It is safe
 // to call from worker goroutines: it reads only immutable engine
-// configuration and charges the (concurrency-safe) budget. live=false
-// with a nil error reports a syntactically false condition — the
-// caller owns counting the prune so workers can defer it to the merge.
-func (e *engine) prepareEmit(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source) (prepared, bool, error) {
-	all := append([]*cond.Formula(nil), conds...)
-	for _, c := range r.Comps {
-		f, err := instantiateComparison(c, bind)
-		if err != nil {
-			return prepared{}, false, err
+// configuration and the rule's once-built ground conditions, and
+// charges the (concurrency-safe) budget. live=false with a nil error
+// reports a syntactically false condition — the caller owns counting
+// the prune so workers can defer it to the merge.
+func (e *engine) prepareEmit(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source) (prepared, bool, error) {
+	cr := p.compiledRule
+	all := make([]*cond.Formula, len(conds), len(conds)+len(cr.comps)+1)
+	copy(all, conds)
+	if len(cr.comps) > 0 || cr.hasHeadCond {
+		cr.groundFormulas()
+	}
+	for i := range cr.comps {
+		f := cr.ground[i]
+		if f == nil {
+			f = cr.comps[i].formula(slots)
 		}
 		all = append(all, f)
 	}
-	if r.HeadCond != nil {
-		f, err := r.HeadCond.instantiate(bind)
-		if err != nil {
-			return prepared{}, false, err
+	if cr.hasHeadCond {
+		f := cr.groundHead
+		if f == nil {
+			f = cr.headCond.formula(slots)
 		}
 		all = append(all, f)
 	}
@@ -1182,7 +1100,7 @@ func (e *engine) prepareEmit(r Rule, bind map[string]cond.Term, conds []*cond.Fo
 	if condition.IsFalse() {
 		return prepared{}, false, nil
 	}
-	if err := e.bud.CheckCond(condition.NAtoms(), "derived condition for "+r.Head.Pred); err != nil {
+	if err := e.bud.CheckCond(condition.NAtoms(), cr.condWhere); err != nil {
 		return prepared{}, false, err
 	}
 	// Incremental-solver base: the largest conjunct, typically a source
@@ -1198,35 +1116,26 @@ func (e *engine) prepareEmit(r Rule, bind map[string]cond.Term, conds []*cond.Fo
 	if base != nil && (base == condition || base.NAtoms() == 0) {
 		base = nil
 	}
-	values := make([]cond.Term, len(r.Head.Args))
-	for i, t := range r.Head.Args {
-		switch t.Kind {
-		case TVar:
-			b, ok := bind[t.Name]
-			if !ok {
-				return prepared{}, false, fmt.Errorf("faurelog: unbound head variable %s in %v", t.Name, r)
-			}
-			values[i] = b
-		default:
-			values[i] = t.Symbol()
-		}
+	values := make([]cond.Term, len(cr.head))
+	for i, o := range cr.head {
+		values[i] = o.value(slots)
 	}
 	tp := ctable.NewTuple(values, condition)
 	d := tp.DataHash()
-	p := prepared{
-		pred:    r.Head.Pred,
+	pr := prepared{
+		pred:    cr.pred,
 		tp:      tp,
 		cond:    condition,
 		base:    base,
 		key:     ctable.TupleID{D1: d[0], D2: d[1], Cond: condition.ID()},
 		dataKey: d,
+		rule:    cr,
 	}
 	if e.needSrcs {
-		p.ruleStr = r.String()
-		p.srcs = make([]Source, len(srcs))
-		copy(p.srcs, srcs)
+		pr.srcs = make([]Source, len(srcs))
+		copy(pr.srcs, srcs)
 	}
-	return p, true, nil
+	return pr, true, nil
 }
 
 // commit is the serial half of an emission: dedup, eager prune,
@@ -1279,13 +1188,13 @@ func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable
 		byData[p.dataKey] = append(byData[p.dataKey], p.cond)
 	}
 
-	if err := e.bud.AddTuples(1, "derived relation "+p.pred); err != nil {
+	if err := e.bud.AddTuples(1, p.rule.relWhere); err != nil {
 		return err
 	}
 	e.pending = append(e.pending, pendingInsert{pred: p.pred, tp: p.tp})
 	e.stats.Derived++
 	if e.trace != nil {
-		e.trace[traceKey(p.pred, p.tp)] = Derivation{Rule: p.ruleStr, Sources: p.srcs}
+		e.trace[traceKey(p.pred, p.tp)] = Derivation{Rule: p.rule.ruleStr, Sources: p.srcs}
 	}
 	if e.prov != nil {
 		e.recordProv(&p)
@@ -1309,7 +1218,7 @@ func (e *engine) recordProv(p *prepared) {
 			refs[i].Tuple = s.Tuple
 		}
 	}
-	e.prov.Record(p.pred, p.key, e.prov.InternRule(p.ruleStr), e.curStratum, e.curRound, p.worker, refs)
+	e.prov.Record(p.pred, p.key, e.prov.InternRule(p.rule.ruleStr), e.curStratum, e.curRound, p.worker, refs)
 }
 
 // absorbed decides whether condition is implied by the disjunction of

@@ -1,6 +1,7 @@
 package faurelog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -273,18 +274,34 @@ func TestConditionKeysStableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestReorderBodyMapping exercises the delta-index remapping.
+// TestReorderBodyMapping exercises the compiled body order for a
+// delta position: the fed literal first, the other positives in
+// written order, negations last, and the variable bound once.
 func TestReorderBodyMapping(t *testing.T) {
 	r := MustParse(`q(x) :- not s(x), r(x), t(x).`).Rules[0]
-	body, mapped := reorderBody(r, 1) // delta on r(x), originally index 1
-	if body == nil {
-		t.Fatalf("expected reordering")
+	cr, err := compileRule(r, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if body[mapped].Pred != "r" {
-		t.Errorf("delta literal remapped to %v", body[mapped])
+	p := cr.plan(1) // delta on r(x), originally index 1
+	var got []string
+	for _, l := range p.lits {
+		got = append(got, fmt.Sprintf("%s/%d/neg=%v", l.pred, l.pos, l.neg))
 	}
-	if !body[len(body)-1].Neg {
-		t.Errorf("negation should be last: %v", body)
+	if want := "r/1/neg=false t/2/neg=false s/0/neg=true"; strings.Join(got, " ") != want {
+		t.Errorf("canonical body = %v, want %s", got, want)
+	}
+	if !p.fed || p.nPos != 2 {
+		t.Errorf("fed=%v nPos=%d, want fed delta and two positives", p.fed, p.nPos)
+	}
+	if !p.lits[0].args[0].bind || p.lits[1].args[0].bind || p.lits[2].args[0].bind {
+		t.Errorf("x must be bound by the fed literal only")
+	}
+	if len(p.lits[0].probe) != 0 || len(p.lits[1].probe) != 1 {
+		t.Errorf("probe columns: fed %v, t %v", p.lits[0].probe, p.lits[1].probe)
+	}
+	if cr.plan(0) != nil {
+		t.Errorf("a negated literal has no delta plan")
 	}
 }
 

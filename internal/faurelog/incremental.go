@@ -59,9 +59,17 @@ func EvalIncrement(prog *Program, prev *ctable.Database, added map[string][]ctab
 	if err != nil {
 		return nil, err
 	}
+	for pred := range added {
+		e.load(pred)
+	}
 	// Seed the dedup and absorption state with everything already
-	// present, so re-derivations of existing tuples are no-ops.
+	// present, so re-derivations of existing tuples are no-ops. Only
+	// derived heads and the relations facts are added to ever receive
+	// tuples, so only they need it.
 	for name, tbl := range prev.Tables {
+		if _, adds := added[name]; !idb[name] && !adds {
+			continue
+		}
 		seen := map[ctable.TupleID]struct{}{}
 		for _, tp := range tbl.Tuples {
 			seen[tp.Identity()] = struct{}{}
@@ -158,16 +166,7 @@ seedLoop:
 	pending := seedDelta
 	if runErr == nil {
 		for si, preds := range strata {
-			inStratum := map[string]bool{}
-			for _, pr := range preds {
-				inStratum[pr] = true
-			}
-			var rules []Rule
-			for _, r := range e.prog.Rules {
-				if inStratum[r.Head.Pred] {
-					rules = append(rules, r)
-				}
-			}
+			rules, _ := e.stratumRules(preds)
 			newHere, err := e.propagate(rules, pending, evalSpan, si)
 			if err != nil {
 				runErr = err
@@ -229,9 +228,9 @@ seedLoop:
 // from the given deltas (over any predicate, not just the recursive
 // ones) and returning the tuples newly derived for this stratum's
 // heads.
-func (e *engine) propagate(rules []Rule, seed delta, evalSpan obs.Span, stratum int) (delta, error) {
-	for _, r := range rules {
-		e.store.Ensure(r.Head.Pred, len(r.Head.Args))
+func (e *engine) propagate(rules []*compiledRule, seed delta, evalSpan obs.Span, stratum int) (delta, error) {
+	for _, cr := range rules {
+		e.store.Ensure(cr.pred, len(cr.head))
 	}
 	produced := delta{}
 	cur := seed
@@ -246,13 +245,13 @@ func (e *engine) propagate(rules []Rule, seed delta, evalSpan obs.Span, stratum 
 			produced[pred] = append(produced[pred], tp)
 		}
 		var units []unit
-		for _, r := range rules {
-			for i, a := range r.Body {
+		for _, cr := range rules {
+			for i, a := range cr.rule.Body {
 				d := cur[a.Pred]
 				if len(d) == 0 {
 					continue
 				}
-				units = append(units, unit{r: r, deltaIdx: i, delta: d})
+				units = append(units, unit{p: cr.plan(i), delta: d})
 			}
 		}
 		if err := e.runRound(units, sink, evalSpan, stratum, iter); err != nil {

@@ -41,14 +41,13 @@ import (
 	"faure/internal/solver"
 )
 
-// unit is one schedulable rule application: the rule with (when
-// deltaIdx >= 0) the deltaIdx-th body literal restricted to an
+// unit is one schedulable rule application: a compiled rule plan
+// with (when the plan is fed) its first literal restricted to an
 // explicit tuple slice. The concatenation of the units' emissions in
 // unit order equals the sequential engine's emission order.
 type unit struct {
-	r        Rule
-	deltaIdx int
-	delta    []ctable.Tuple
+	p     *rulePlan
+	delta []ctable.Tuple
 }
 
 // candidate is one potential emission collected by a worker, with the
@@ -92,10 +91,10 @@ func (e *engine) chunkSize(n int) int {
 	return size
 }
 
-func appendChunks(out []unit, r Rule, idx int, tuples []ctable.Tuple, size int) []unit {
+func appendChunks(out []unit, p *rulePlan, tuples []ctable.Tuple, size int) []unit {
 	for start := 0; start < len(tuples); start += size {
 		end := min(start+size, len(tuples))
-		out = append(out, unit{r: r, deltaIdx: idx, delta: tuples[start:end]})
+		out = append(out, unit{p: p, delta: tuples[start:end]})
 	}
 	return out
 }
@@ -108,49 +107,45 @@ func appendChunks(out []unit, r Rule, idx int, tuples []ctable.Tuple, size int) 
 func (e *engine) splitUnits(units []unit) []unit {
 	out := make([]unit, 0, len(units)*2)
 	for _, u := range units {
-		if u.deltaIdx >= 0 {
-			out = appendChunks(out, u.r, u.deltaIdx, u.delta, e.chunkSize(len(u.delta)))
+		if u.p.fed {
+			out = appendChunks(out, u.p, u.delta, e.chunkSize(len(u.delta)))
 			continue
 		}
-		fi, tuples, ok := e.roundZeroSeed(u.r)
+		fed, tuples, ok := e.roundZeroSeed(u.p)
 		if !ok {
 			out = append(out, u)
 			continue
 		}
 		// An empty candidate list means the sequential join would emit
 		// nothing for this rule; drop it rather than schedule a no-op.
-		out = appendChunks(out, u.r, fi, tuples, e.chunkSize(len(tuples)))
+		out = appendChunks(out, fed, tuples, e.chunkSize(len(tuples)))
 	}
 	return out
 }
 
 // roundZeroSeed finds the body literal a full rule application visits
-// first — the first positive literal, which reorderBody keeps stable
-// at position zero — and materialises its candidate list in exactly
-// the order the sequential join would, so chunking it as a delta is
-// emission-order neutral. ok=false means the rule cannot be chunked
-// (empty or all-negative body) and must run whole.
-func (e *engine) roundZeroSeed(r Rule) (int, []ctable.Tuple, bool) {
-	fi := -1
-	for i, a := range r.Body {
-		if !a.Neg {
-			fi = i
-			break
-		}
+// first — the first positive literal, canonical slot zero — and
+// materialises its candidate list in exactly the order the sequential
+// join would, so chunking it as a delta of the plan fed at that
+// literal is emission-order neutral. ok=false means the rule cannot be
+// chunked (empty or all-negative body) and must run whole.
+func (e *engine) roundZeroSeed(p *rulePlan) (*rulePlan, []ctable.Tuple, bool) {
+	if p.nPos == 0 {
+		return nil, nil, false
 	}
-	if fi < 0 {
-		return 0, nil, false
-	}
-	rel := e.store.Rel(r.Body[fi].Pred)
+	first := &p.lits[0]
+	fed := p.plan(first.pos)
+	rel := e.store.Rel(first.pred)
 	if rel == nil {
-		return fi, nil, true // no relation: the rule derives nothing this round
+		return fed, nil, true // no relation: the rule derives nothing this round
 	}
-	idxs := e.candidateIdxs(rel, r.Body[fi], map[string]cond.Term{})
+	// Nothing is bound before slot zero, so only constant columns probe.
+	idxs := e.candidates(rel, first, make([]cond.Term, p.nSlots))
 	tuples := make([]ctable.Tuple, len(idxs))
 	for i, idx := range idxs {
 		tuples[i] = rel.Tuple(idx)
 	}
-	return fi, tuples, true
+	return fed, tuples, true
 }
 
 // runRoundParallel is the worker-pool counterpart of runRoundSeq.
@@ -219,8 +214,8 @@ func (e *engine) runRoundParallel(units []unit, sink func(string, ctable.Tuple),
 // concurrency-safe budget, and the worker's own solver.
 func (e *engine) runUnit(w *evalWorker, u unit, ur *unitResult) {
 	var localSeen map[ctable.TupleID]struct{}
-	emit := func(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source) error {
-		p, live, err := e.prepareEmit(r, bind, conds, srcs)
+	emit := func(rp *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source) error {
+		p, live, err := e.prepareEmit(rp, slots, conds, srcs)
 		if err != nil {
 			return err
 		}
@@ -260,7 +255,7 @@ func (e *engine) runUnit(w *evalWorker, u unit, ur *unitResult) {
 		ur.cands = append(ur.cands, c)
 		return nil
 	}
-	ur.err = e.deriveRule(u.r, u.deltaIdx, u.delta, emit)
+	ur.err = e.deriveRule(u.p, u.delta, emit)
 }
 
 // mergeRound replays every unit's candidates, in unit order, through

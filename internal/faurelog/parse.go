@@ -98,7 +98,7 @@ func ParseDatabase(src string) (*ctable.Database, error) {
 		}
 		c := cond.True()
 		if r.HeadCond != nil {
-			c, err = r.HeadCond.instantiate(nil)
+			c, err = groundCondition(r.HeadCond)
 			if err != nil {
 				return nil, &ParseError{Err: err, Src: src}
 			}
@@ -491,5 +491,5 @@ func ParseCondition(src string) (*cond.Formula, error) {
 	if vs := ce.vars(nil); len(vs) > 0 {
 		return nil, fmt.Errorf("faurelog: condition uses program variable %s; only c-variables and constants are allowed", vs[0])
 	}
-	return ce.instantiate(nil)
+	return groundCondition(ce)
 }

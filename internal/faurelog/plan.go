@@ -23,8 +23,8 @@ package faurelog
 //
 //  1. discovers complete positive matches depth-first in plan order,
 //     using multi-column index intersection (CandidatesMulti) and a
-//     formula-free matcher (matchLite) that only binds variables and
-//     rejects constant/constant conflicts;
+//     formula-free matcher (discover) that only binds slots and rejects
+//     constant/constant conflicts;
 //  2. replays each match in the written (canonical) order — rebuilding
 //     bindings, equality conditions and negation conditions exactly as
 //     the written-order join would, and dropping combinations that the
@@ -54,35 +54,34 @@ import (
 	"faure/internal/relstore"
 )
 
-// planPositives greedily orders the canonical rule's first nPos body
-// literals (the positives) by estimated cost. deltaIdx is 0 when slot
-// 0 is the fed delta literal (then it stays pinned) and -1 otherwise.
-// It returns the canonical slot indexes in execution order and whether
-// that differs from the written order. Ties keep the lowest slot, so
-// the plan is deterministic for a given frozen store.
-func (e *engine) planPositives(canon Rule, deltaIdx, nPos int) ([]int, bool) {
-	order := make([]int, 0, nPos)
-	bound := map[string]bool{}
-	used := make([]bool, nPos)
+// planPositives greedily orders the plan's positive literals by
+// estimated cost. A fed delta literal (slot 0) stays pinned. It returns
+// the canonical slot indexes in execution order and whether that
+// differs from the written order. Ties keep the lowest slot, so the
+// plan is deterministic for a given frozen store.
+func (e *engine) planPositives(p *rulePlan) ([]int, bool) {
+	order := make([]int, 0, p.nPos)
+	bound := make([]bool, p.nSlots)
+	used := make([]bool, p.nPos)
 	take := func(slot int) {
 		used[slot] = true
 		order = append(order, slot)
-		for _, t := range canon.Body[slot].Args {
-			if t.Kind == TVar {
-				bound[t.Name] = true
+		for _, a := range p.lits[slot].args {
+			if a.kind == TVar {
+				bound[a.slot] = true
 			}
 		}
 	}
-	if deltaIdx == 0 {
+	if p.fed {
 		take(0)
 	}
-	for len(order) < nPos {
+	for len(order) < p.nPos {
 		best, bestCost := -1, 0.0
-		for s := 0; s < nPos; s++ {
+		for s := 0; s < p.nPos; s++ {
 			if used[s] {
 				continue
 			}
-			c := e.estimateLiteral(canon.Body[s], bound)
+			c := e.estimateLiteral(&p.lits[s], bound)
 			if best < 0 || c < bestCost {
 				best, bestCost = s, c
 			}
@@ -98,23 +97,23 @@ func (e *engine) planPositives(canon Rule, deltaIdx, nPos int) ([]int, bool) {
 }
 
 // estimateLiteral estimates how many candidate tuples the store serves
-// for one positive literal given the variables bound so far: the
-// relation size scaled by the selectivity of every constant-bound
-// column, multiplied under an independence assumption. Per column, the
+// for one positive literal given the slots bound so far: the relation
+// size scaled by the selectivity of every constant-bound column,
+// multiplied under an independence assumption. Per column, the
 // expected candidates are the average constant bucket plus every
 // c-variable tuple (which survives any probe); see ColStats.
-func (e *engine) estimateLiteral(a Atom, bound map[string]bool) float64 {
-	rel := e.store.Rel(a.Pred)
+func (e *engine) estimateLiteral(l *litPlan, bound []bool) float64 {
+	rel := e.store.Rel(l.pred)
 	if rel == nil || rel.Len() == 0 {
 		return 0
 	}
 	n := rel.Len()
 	cost := float64(n)
-	for col, t := range a.Args {
-		switch t.Kind {
+	for col, a := range l.args {
+		switch a.kind {
 		case TConst:
 		case TVar:
-			if !bound[t.Name] {
+			if !bound[a.slot] {
 				continue
 			}
 		default:
@@ -133,12 +132,63 @@ type plannedMatch struct {
 	idx int
 }
 
-// plannedEmit is one replayed match awaiting written-order sorting.
-type plannedEmit struct {
-	key   []uint64
-	bind  map[string]cond.Term
-	conds []*cond.Formula
-	srcs  []Source
+// discoveryLit is a literal's role under the planned order: which of
+// its variable occurrences bind (the first in plan order) and which
+// columns are bound to a constant symbol or an earlier-bound variable
+// when discovery reaches it.
+type discoveryLit struct {
+	binds []bool
+	cols  []int
+}
+
+// discoveryOrder derives the per-literal binding roles for a planned
+// order of the positive slots.
+func (p *rulePlan) discoveryOrder(order []int) []discoveryLit {
+	out := make([]discoveryLit, p.nPos)
+	bound := make([]bool, p.nSlots)
+	for _, slot := range order {
+		l := &p.lits[slot]
+		d := discoveryLit{binds: make([]bool, len(l.args))}
+		for c, a := range l.args {
+			if a.kind == TConst || (a.kind == TVar && bound[a.slot]) {
+				d.cols = append(d.cols, c)
+			}
+		}
+		for c, a := range l.args {
+			if a.kind == TVar && !bound[a.slot] {
+				d.binds[c] = true
+				bound[a.slot] = true
+			}
+		}
+		out[slot] = d
+	}
+	return out
+}
+
+// discover is the discovery-time matcher: it binds slots and rejects
+// syntactically impossible combinations (constant against a different
+// constant) without building condition formulas — the written-order
+// replay rebuilds those.
+func discover(l *litPlan, d *discoveryLit, tp ctable.Tuple, slots []cond.Term) bool {
+	for c := range l.args {
+		a := &l.args[c]
+		v := tp.Values[c]
+		switch a.kind {
+		case TConst:
+			if v.IsConst() && a.sym != v {
+				return false
+			}
+		case TVar:
+			if d.binds[c] {
+				slots[a.slot] = v
+				continue
+			}
+			if b := slots[a.slot]; b.IsConst() && v.IsConst() && b != v {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // groupShift places Candidates' constants-vs-cvars bucket bit above
@@ -147,64 +197,76 @@ const groupShift = 40
 
 // runPlanned executes one rule application under the planned literal
 // order: discovery in plan order, replay and emission in written
-// order (see the package comment's determinism argument). canon is the
-// canonicalised rule (delta literal at slot 0 when deltaIdx == 0,
-// positives before negations), order the planned permutation of the
-// first nPos slots.
-func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple, order []int, nPos int, emit emitFn) error {
+// order (see the package comment's determinism argument). order is the
+// planned permutation of the plan's positive slots.
+func (e *engine) runPlanned(p *rulePlan, deltaTuples []ctable.Tuple, order []int, emit emitFn) error {
+	nPos := p.nPos
+	disc := p.discoveryOrder(order)
+	rels := e.rels(p)
 	matched := make([]plannedMatch, nPos)
-	var buf []plannedEmit
-	bind := map[string]cond.Term{}
+	dslots := make([]cond.Term, p.nSlots)
+	rm := newMatcher(p)
+	rslots := rm.slots
 
+	// The replayed emissions, flattened: per emission nPos order keys and
+	// nSlots bindings; its conditions and sources end at condEnd/srcEnd.
+	var (
+		keys    []uint64
+		slotBuf []cond.Term
+		condBuf []*cond.Formula
+		condEnd []int
+		srcBuf  []Source
+		srcEnd  []int
+	)
 	replay := func() error {
-		bind2 := make(map[string]cond.Term, len(bind))
-		conds := make([]*cond.Formula, 0, len(canon.Body)+len(canon.Comps)+1)
-		var srcs []Source
-		if e.needSrcs {
-			srcs = make([]Source, 0, len(canon.Body))
+		kMark, cMark, sMark := len(keys), len(condBuf), len(srcBuf)
+		reject := func() error {
+			keys, condBuf, srcBuf = keys[:kMark], condBuf[:cMark], srcBuf[:sMark]
+			return nil
 		}
-		key := make([]uint64, nPos)
 		for slot := 0; slot < nPos; slot++ {
-			a := canon.Body[slot]
+			l := &p.lits[slot]
 			m := matched[slot]
-			if slot == 0 && deltaIdx == 0 {
-				key[slot] = uint64(m.idx)
+			if slot == 0 && p.fed {
+				keys = append(keys, uint64(m.idx))
 			} else {
 				var g uint64
-				if col := e.noPlanProbeCol(a, bind2); col >= 0 && m.tp.Values[col].IsCVar() {
-					g = 1
+				if !e.opts.NoIndex {
+					if col, _, ok := l.probeKey(rslots); ok && m.tp.Values[col].IsCVar() {
+						g = 1
+					}
 				}
-				key[slot] = g<<groupShift | uint64(m.idx)
+				keys = append(keys, g<<groupShift|uint64(m.idx))
 			}
-			extra, _, ok := e.matchAtom(a, m.tp, bind2)
+			extra, ok := rm.match(l, m.tp)
 			if !ok {
 				// The written-order matcher rejects this combination (two
 				// constants claimed the same variable); neither executor
 				// may emit it.
-				return nil
+				return reject()
 			}
-			conds = append(conds, m.tp.Condition())
+			condBuf = append(condBuf, m.tp.Condition())
 			if !extra.IsTrue() {
-				conds = append(conds, extra)
+				condBuf = append(condBuf, extra)
 			}
 			if e.needSrcs {
-				srcs = append(srcs, Source{Pred: a.Pred, Tuple: m.tp})
+				srcBuf = append(srcBuf, Source{Pred: l.pred, Tuple: m.tp})
 			}
 		}
-		for _, a := range canon.Body[nPos:] {
-			f, pattern, err := e.negationCondition(a, bind2)
-			if err != nil {
-				return err
-			}
+		for i := nPos; i < len(p.lits); i++ {
+			l := &p.lits[i]
+			f, pattern := e.negation(l, rels[i], rslots)
 			if f.IsFalse() {
-				return nil
+				return reject()
 			}
 			if e.needSrcs {
-				srcs = append(srcs, Source{Pred: a.Pred, Tuple: ctable.NewTuple(pattern, f), Negated: true})
+				srcBuf = append(srcBuf, Source{Pred: l.pred, Tuple: ctable.NewTuple(pattern, f), Negated: true})
 			}
-			conds = append(conds, f)
+			condBuf = append(condBuf, f)
 		}
-		buf = append(buf, plannedEmit{key: key, bind: bind2, conds: conds, srcs: srcs})
+		slotBuf = append(slotBuf, rslots...)
+		condEnd = append(condEnd, len(condBuf))
+		srcEnd = append(srcEnd, len(srcBuf))
 		return nil
 	}
 
@@ -214,35 +276,31 @@ func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple
 			return replay()
 		}
 		slot := order[k]
-		a := canon.Body[slot]
-		try := func(tp ctable.Tuple, idx int) error {
-			undo, ok := matchLite(a, tp, bind)
-			if !ok {
-				return nil
-			}
-			matched[slot] = plannedMatch{tp: tp, idx: idx}
-			if err := dfs(k + 1); err != nil {
-				return err
-			}
-			for _, v := range undo {
-				delete(bind, v)
-			}
-			return nil
-		}
-		if slot == 0 && deltaIdx == 0 {
+		l := &p.lits[slot]
+		d := &disc[slot]
+		if slot == 0 && p.fed {
 			for pos, tp := range deltaTuples {
-				if err := try(tp, pos); err != nil {
+				if !discover(l, d, tp, dslots) {
+					continue
+				}
+				matched[slot] = plannedMatch{tp: tp, idx: pos}
+				if err := dfs(k + 1); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		rel := e.store.Rel(a.Pred)
+		rel := rels[slot]
 		if rel == nil {
 			return nil
 		}
-		for _, idx := range e.plannedCandidates(rel, a, bind) {
-			if err := try(rel.Tuple(idx), idx); err != nil {
+		for _, idx := range e.plannedCandidates(rel, l, d, dslots) {
+			tp := rel.Tuple(idx)
+			if !discover(l, d, tp, dslots) {
+				continue
+			}
+			matched[slot] = plannedMatch{tp: tp, idx: idx}
+			if err := dfs(k + 1); err != nil {
 				return err
 			}
 		}
@@ -252,17 +310,27 @@ func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple
 		return err
 	}
 
-	sort.SliceStable(buf, func(i, j int) bool {
-		a, b := buf[i].key, buf[j].key
-		for k := range a {
+	n := len(condEnd)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(i, j int) bool {
+		a, b := keys[perm[i]*nPos:], keys[perm[j]*nPos:]
+		for k := 0; k < nPos; k++ {
 			if a[k] != b[k] {
 				return a[k] < b[k]
 			}
 		}
 		return false
 	})
-	for i := range buf {
-		if err := emit(canon, buf[i].bind, buf[i].conds, buf[i].srcs); err != nil {
+	ns := p.nSlots
+	for _, i := range perm {
+		cStart, sStart := 0, 0
+		if i > 0 {
+			cStart, sStart = condEnd[i-1], srcEnd[i-1]
+		}
+		if err := emit(p, slotBuf[i*ns:(i+1)*ns], condBuf[cStart:condEnd[i]], srcBuf[sStart:srcEnd[i]]); err != nil {
 			return err
 		}
 	}
@@ -271,25 +339,24 @@ func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple
 
 // plannedCandidates narrows the tuples for one literal during planned
 // discovery, intersecting the candidate lists of every constant-bound
-// column. Unlike the written-order candidateIdxs, the result order
-// does not matter here: the replay sort restores written order.
-func (e *engine) plannedCandidates(rel *relstore.Relation, a Atom, bind map[string]cond.Term) []int {
+// column. Unlike the written-order candidates, the result order does
+// not matter here: the replay sort restores written order.
+func (e *engine) plannedCandidates(rel *relstore.Relation, l *litPlan, d *discoveryLit, slots []cond.Term) []int {
 	if e.opts.NoIndex {
 		return rel.All()
 	}
 	var cols []int
 	var keys []cond.Term
-	for col, t := range a.Args {
-		switch t.Kind {
-		case TConst:
-			cols = append(cols, col)
-			keys = append(keys, t.Const)
-		case TVar:
-			if b, ok := bind[t.Name]; ok && !b.IsCVar() {
-				cols = append(cols, col)
-				keys = append(keys, b)
+	for _, c := range d.cols {
+		a := &l.args[c]
+		key := a.sym
+		if a.kind == TVar {
+			if key = slots[a.slot]; key.IsCVar() {
+				continue
 			}
 		}
+		cols = append(cols, c)
+		keys = append(keys, key)
 	}
 	switch len(cols) {
 	case 0:
@@ -299,59 +366,4 @@ func (e *engine) plannedCandidates(rel *relstore.Relation, a Atom, bind map[stri
 	default:
 		return rel.CandidatesMulti(cols, keys)
 	}
-}
-
-// noPlanProbeCol is the column the written-order join's candidateIdxs
-// would probe for this literal under the given bindings, or -1 for a
-// full scan — the same first-usable-column rule, evaluated against the
-// canonical binding state the replay maintains.
-func (e *engine) noPlanProbeCol(a Atom, bind map[string]cond.Term) int {
-	if e.opts.NoIndex {
-		return -1
-	}
-	for col, t := range a.Args {
-		switch t.Kind {
-		case TConst:
-			return col
-		case TVar:
-			if b, ok := bind[t.Name]; ok && !b.IsCVar() {
-				return col
-			}
-		}
-	}
-	return -1
-}
-
-// matchLite is the discovery-time matcher: it binds variables and
-// rejects syntactically impossible combinations (constant against a
-// different constant) without building condition formulas — the
-// written-order replay rebuilds those. On failure it rolls back its
-// own bindings; on success the caller owns the returned undo list.
-func matchLite(a Atom, tp ctable.Tuple, bind map[string]cond.Term) ([]string, bool) {
-	var undo []string
-	for i, t := range a.Args {
-		v := tp.Values[i]
-		switch t.Kind {
-		case TConst:
-			if v.IsConst() && !t.Const.Equal(v) {
-				for _, u := range undo {
-					delete(bind, u)
-				}
-				return nil, false
-			}
-		case TVar:
-			if b, ok := bind[t.Name]; ok {
-				if b.IsConst() && v.IsConst() && !b.Equal(v) {
-					for _, u := range undo {
-						delete(bind, u)
-					}
-					return nil, false
-				}
-				continue
-			}
-			bind[t.Name] = v
-			undo = append(undo, t.Name)
-		}
-	}
-	return undo, true
 }

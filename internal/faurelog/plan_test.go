@@ -11,7 +11,7 @@ import (
 
 // planFixture parses a program and database and returns an engine whose
 // store reflects the database, for driving the planner directly.
-func planFixture(t *testing.T, progSrc, dbSrc string) (*engine, *Program) {
+func planFixture(t *testing.T, progSrc, dbSrc string) *engine {
 	t.Helper()
 	prog, err := Parse(progSrc)
 	if err != nil {
@@ -25,18 +25,17 @@ func planFixture(t *testing.T, progSrc, dbSrc string) (*engine, *Program) {
 	if err != nil {
 		t.Fatalf("newEngine: %v", err)
 	}
-	return e, prog
+	return e
 }
 
 func TestPlanReordersSelectiveFirst(t *testing.T) {
 	// big has 6 tuples, sel has 1: with nothing bound the greedy pick is
 	// the smaller relation, then big joins on the variable sel bound.
-	e, prog := planFixture(t, `h(x, z) :- big(x, y), sel(y, z).`, `
+	e := planFixture(t, `h(x, z) :- big(x, y), sel(y, z).`, `
 		big(1, 1). big(2, 1). big(3, 2). big(4, 2). big(5, 3). big(6, 3).
 		sel(2, 9).
 	`)
-	r := prog.Rules[0]
-	order, changed := e.planPositives(r, -1, len(r.Body))
+	order, changed := e.planPositives(e.rules[0].plan(-1))
 	if !changed || len(order) != 2 || order[0] != 1 || order[1] != 0 {
 		t.Errorf("order = %v (changed %v), want [1 0]", order, changed)
 	}
@@ -45,12 +44,11 @@ func TestPlanReordersSelectiveFirst(t *testing.T) {
 func TestPlanConstBoundColumnWins(t *testing.T) {
 	// Equal sizes, but b's first column is probed with a constant and
 	// every value there is distinct, so b's estimate is ~1 tuple.
-	e, prog := planFixture(t, `h(x) :- a(x, y), b(5, y).`, `
+	e := planFixture(t, `h(x) :- a(x, y), b(5, y).`, `
 		a(1, 1). a(2, 1). a(3, 2). a(4, 2).
 		b(5, 1). b(6, 1). b(7, 2). b(8, 2).
 	`)
-	r := prog.Rules[0]
-	order, changed := e.planPositives(r, -1, len(r.Body))
+	order, changed := e.planPositives(e.rules[0].plan(-1))
 	if !changed || order[0] != 1 {
 		t.Errorf("order = %v (changed %v), want b first", order, changed)
 	}
@@ -59,12 +57,11 @@ func TestPlanConstBoundColumnWins(t *testing.T) {
 func TestPlanDeltaPinned(t *testing.T) {
 	// Slot 0 is the fed delta literal: it must stay first even though
 	// hub is far cheaper.
-	e, prog := planFixture(t, `tri(x, z) :- fat(x, y), fat(y, z), hub(y).`, `
+	e := planFixture(t, `tri(x, z) :- fat(x, y), fat(y, z), hub(y).`, `
 		fat(1, 2). fat(1, 3). fat(2, 4). fat(2, 5). fat(3, 6). fat(3, 7).
 		hub(2).
 	`)
-	r := prog.Rules[0]
-	order, changed := e.planPositives(r, 0, len(r.Body))
+	order, changed := e.planPositives(e.rules[0].plan(0))
 	if order[0] != 0 {
 		t.Fatalf("order = %v, delta slot must stay pinned first", order)
 	}
@@ -75,12 +72,11 @@ func TestPlanDeltaPinned(t *testing.T) {
 }
 
 func TestPlanTiesKeepWrittenOrder(t *testing.T) {
-	e, prog := planFixture(t, `h(x) :- a(x), b(x).`, `
+	e := planFixture(t, `h(x) :- a(x), b(x).`, `
 		a(1). a(2).
 		b(1). b(2).
 	`)
-	r := prog.Rules[0]
-	order, changed := e.planPositives(r, -1, len(r.Body))
+	order, changed := e.planPositives(e.rules[0].plan(-1))
 	if changed || order[0] != 0 || order[1] != 1 {
 		t.Errorf("order = %v (changed %v), equal costs must keep written order", order, changed)
 	}

@@ -1,23 +1,36 @@
 // Package relstore is the in-memory relational substrate fauré-log
 // evaluation runs on — the reproduction's stand-in for the PostgreSQL
 // backend of the paper's implementation. It stores c-table relations
-// with per-column hash indexes over constant values and keeps, per
-// column, the list of tuples holding a c-variable there (which can
-// match any constant subject to a condition, so every constant probe
-// must also consider them).
+// with per-column hash indexes over constant values, keyed by the
+// constant's cond.Term value itself, and keeps, per column, the list
+// of tuples holding a c-variable there (which can match any constant
+// subject to a condition, so every constant probe must also consider
+// them).
 //
-// Concurrency contract: reads (Rel, Tuple, All, Candidates, Len) are
-// safe from any number of goroutines as long as no goroutine mutates
-// the store concurrently (Insert, Ensure, Replace). The parallel
-// evaluation engine relies on exactly this phased discipline — workers
-// read a frozen store during a round, the coordinator writes only at
-// iteration barriers. The probe/scan counters are atomic so concurrent
-// readers do not race on them.
+// Indexes are built on demand, as PostgreSQL indexes exist only where a
+// query needs them: a column's index is built by the first probe that
+// reads it (Candidates, CandidatesMulti, ColStats) and kept up to date
+// by later inserts. A relation loaded from a c-table shares the table's
+// tuple slice (capacity clipped, so appends never write into the
+// caller's array) instead of copying it.
+//
+// Concurrency contract: reads (Rel, Tuple, All, Candidates,
+// CandidatesMulti, ColStats, Len) are safe from any number of
+// goroutines as long as no goroutine mutates the store concurrently
+// (Insert, Ensure, Replace, Load). A read may build a column index:
+// builds of one relation serialize on a per-relation lock and publish
+// the finished index atomically, so concurrent first probes of the same
+// column build it once and every reader sees either no index or a
+// complete one. The parallel evaluation engine relies on exactly this
+// phased discipline — workers read a frozen store during a round, the
+// coordinator writes only at iteration barriers. The probe/scan
+// counters are atomic so concurrent readers do not race on them.
 package relstore
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"faure/internal/cond"
@@ -30,11 +43,11 @@ type Relation struct {
 	Name   string
 	Arity  int
 	tuples []ctable.Tuple
-	// colConst[c][key] lists tuple indexes whose value at column c is
-	// the constant with that key; colCVar[c] lists tuple indexes whose
-	// value at column c is a c-variable.
-	colConst []map[string][]int
-	colCVar  [][]int
+	// cols[c] is column c's index, nil until the column's first probe.
+	// mu serializes the builds; a finished index is published with one
+	// atomic store and never replaced.
+	mu   sync.Mutex
+	cols []atomic.Pointer[column]
 
 	// ids is the optional exact-duplicate index over tuple identities
 	// (data hash + interned condition id); enabled by TrackIdentity.
@@ -127,27 +140,70 @@ func (r *Relation) ProbeCount() int64 { return r.probes.Load() }
 // ScanCount returns how many full scans were served.
 func (r *Relation) ScanCount() int64 { return r.scans.Load() }
 
+// column is one column's index: consts[v] lists, in ascending store
+// order, the indexes of tuples holding constant v there; cvars lists
+// those holding a c-variable.
+type column struct {
+	consts map[cond.Term][]int
+	cvars  []int
+}
+
+// add indexes value v of tuple idx.
+func (c *column) add(v cond.Term, idx int) {
+	if v.IsCVar() {
+		c.cvars = append(c.cvars, idx)
+	} else {
+		c.consts[v] = append(c.consts[v], idx)
+	}
+}
+
 // NewRelation returns an empty indexed relation.
 func NewRelation(name string, arity int) *Relation {
-	r := &Relation{Name: name, Arity: arity}
-	r.colConst = make([]map[string][]int, arity)
-	r.colCVar = make([][]int, arity)
-	for i := range r.colConst {
-		r.colConst[i] = map[string][]int{}
-	}
-	return r
+	return &Relation{Name: name, Arity: arity, cols: make([]atomic.Pointer[column], arity)}
 }
 
-// FromTable indexes an existing c-table.
+// FromTable loads a c-table as a relation. The relation shares the
+// table's tuple slice, with its capacity clipped to its length so a
+// later Insert reallocates instead of writing into the table's array;
+// the table's tuples must not be modified while the relation is in
+// use. Tuples of the wrong arity (Insert would reject them) are
+// skipped, at the cost of copying the rest.
 func FromTable(t *ctable.Table) *Relation {
 	r := NewRelation(t.Schema.Name, t.Schema.Arity())
+	r.tuples = t.Tuples[:len(t.Tuples):len(t.Tuples)]
 	for _, tp := range t.Tuples {
-		r.Insert(tp)
+		if len(tp.Values) != r.Arity {
+			r.tuples = nil
+			for _, tp := range t.Tuples {
+				if len(tp.Values) == r.Arity {
+					r.tuples = append(r.tuples, tp)
+				}
+			}
+			break
+		}
 	}
 	return r
 }
 
-func constKey(t cond.Term) string { return t.String() }
+// column returns column c's index, building it on first use. Safe for
+// concurrent readers: builds serialize on the relation's lock and the
+// index is published only once complete.
+func (r *Relation) column(c int) *column {
+	if col := r.cols[c].Load(); col != nil {
+		return col
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if col := r.cols[c].Load(); col != nil {
+		return col
+	}
+	col := &column{consts: map[cond.Term][]int{}}
+	for idx, tp := range r.tuples {
+		col.add(tp.Values[c], idx)
+	}
+	r.cols[c].Store(col)
+	return col
+}
 
 // Insert adds a tuple and indexes its columns.
 func (r *Relation) Insert(tp ctable.Tuple) error {
@@ -164,12 +220,11 @@ func (r *Relation) Insert(tp ctable.Tuple) error {
 	if r.ids != nil {
 		r.ids[tp.Identity()] = struct{}{}
 	}
+	// Only columns some probe has read are indexed; the rest are built
+	// from the full tuple list when first probed.
 	for c, v := range tp.Values {
-		if v.IsCVar() {
-			r.colCVar[c] = append(r.colCVar[c], idx)
-		} else {
-			k := constKey(v)
-			r.colConst[c][k] = append(r.colConst[c][k], idx)
+		if col := r.cols[c].Load(); col != nil {
+			col.add(v, idx)
 		}
 	}
 	return nil
@@ -212,8 +267,8 @@ func (r *Relation) Candidates(col int, key cond.Term) []int {
 		return r.allIdxs()
 	}
 	r.probes.Add(1)
-	consts := r.colConst[col][constKey(key)]
-	cvars := r.colCVar[col]
+	c := r.column(col)
+	consts, cvars := c.consts[key], c.cvars
 	if len(cvars) == 0 {
 		return consts
 	}
@@ -227,8 +282,9 @@ func (r *Relation) Candidates(col int, key cond.Term) []int {
 }
 
 // ColStats are the planner-facing per-column statistics: how selective
-// a constant probe on this column is expected to be. All figures are
-// maintained incrementally by Insert, so reading them is O(1).
+// a constant probe on this column is expected to be. They are read off
+// the column's index (built on the first read), which Insert keeps
+// current, so reading them is O(1) after that.
 type ColStats struct {
 	Distinct int // distinct constant values indexed at this column
 	CVars    int // tuples holding a c-variable at this column
@@ -252,7 +308,8 @@ func (r *Relation) ColStats(col int) ColStats {
 	if col < 0 || col >= r.Arity {
 		return ColStats{}
 	}
-	return ColStats{Distinct: len(r.colConst[col]), CVars: len(r.colCVar[col])}
+	c := r.column(col)
+	return ColStats{Distinct: len(c.consts), CVars: len(c.cvars)}
 }
 
 // CandidatesMulti intersects the candidate lists of several
@@ -272,8 +329,8 @@ func (r *Relation) CandidatesMulti(cols []int, keys []cond.Term) []int {
 		if i >= len(keys) || keys[i].IsCVar() || col < 0 || col >= r.Arity {
 			continue
 		}
-		consts := r.colConst[col][constKey(keys[i])]
-		cvars := r.colCVar[col]
+		c := r.column(col)
+		consts, cvars := c.consts[keys[i]], c.cvars
 		var l []int
 		switch {
 		case len(cvars) == 0:
@@ -351,14 +408,18 @@ type Store struct {
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{rels: map[string]*Relation{}} }
 
-// FromDatabase indexes every table of a c-table database.
+// FromDatabase loads every table of a c-table database (see FromTable).
 func FromDatabase(db *ctable.Database) *Store {
 	s := NewStore()
 	for _, t := range db.Tables {
-		s.rels[t.Schema.Name] = FromTable(t)
+		s.Load(t)
 	}
 	return s
 }
+
+// Load adds a c-table to the store under its name (see FromTable),
+// replacing any relation of that name.
+func (s *Store) Load(t *ctable.Table) { s.rels[t.Schema.Name] = FromTable(t) }
 
 // Rel returns the named relation, or nil.
 func (s *Store) Rel(name string) *Relation { return s.rels[name] }

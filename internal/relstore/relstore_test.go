@@ -167,9 +167,9 @@ func TestCandidatesMultiVsBruteForce(t *testing.T) {
 		{[]int{0, 1}, []cond.Term{cond.Int(1), cond.Int(2)}},
 		{[]int{0, 1, 2}, []cond.Term{cond.Int(0), cond.Int(1), cond.Int(2)}},
 		{[]int{2, 0}, []cond.Term{cond.Int(2), cond.Int(0)}},
-		{[]int{0, 1}, []cond.Term{cond.Int(1), cond.Int(99)}},           // empty const bucket
-		{[]int{0, 1}, []cond.Term{cond.CVar("z"), cond.Int(1)}},         // col 0 unusable
-		{[]int{0, 1}, []cond.Term{cond.CVar("z"), cond.CVar("w")}},      // all unusable: fallback
+		{[]int{0, 1}, []cond.Term{cond.Int(1), cond.Int(99)}},                 // empty const bucket
+		{[]int{0, 1}, []cond.Term{cond.CVar("z"), cond.Int(1)}},               // col 0 unusable
+		{[]int{0, 1}, []cond.Term{cond.CVar("z"), cond.CVar("w")}},            // all unusable: fallback
 		{[]int{-1, 9, 1}, []cond.Term{cond.Int(1), cond.Int(1), cond.Int(2)}}, // bad cols skipped
 	}
 	for ci, tc := range cases {
@@ -297,6 +297,35 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if s.TotalTuples() != 1 {
 		t.Errorf("TotalTuples = %d", s.TotalTuples())
+	}
+}
+
+// TestFromTableShares checks the load: the relation shares the table's
+// tuples, an Insert leaves the table's spare capacity alone, and
+// tuples of the wrong arity are skipped as Insert would reject them.
+func TestFromTableShares(t *testing.T) {
+	backing := make([]ctable.Tuple, 2, 4)
+	backing[0] = ctable.NewTuple([]cond.Term{cond.Int(1), cond.Int(2)}, nil)
+	backing[1] = ctable.NewTuple([]cond.Term{cond.Int(3), cond.Int(4)}, nil)
+	tbl := &ctable.Table{Schema: ctable.Schema{Name: "f", Attrs: []string{"a", "b"}}, Tuples: backing}
+	r := FromTable(tbl)
+	if r.Len() != 2 || &r.tuples[0] != &backing[0] {
+		t.Fatalf("relation does not share the table's tuples")
+	}
+	if err := r.Insert(ctable.NewTuple([]cond.Term{cond.Int(5), cond.Int(6)}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if spare := backing[:3][2]; spare.Values != nil {
+		t.Errorf("Insert wrote into the table's spare capacity: %v", spare)
+	}
+	if got := r.Candidates(0, cond.Int(5)); len(got) != 1 || got[0] != 2 {
+		t.Errorf("Candidates(0, 5) = %v, want [2]", got)
+	}
+
+	tbl.Tuples = append(tbl.Tuples, ctable.NewTuple([]cond.Term{cond.Int(7)}, nil))
+	r = FromTable(tbl)
+	if r.Len() != 2 || r.Tuple(1).Values[0] != cond.Int(3) {
+		t.Errorf("wrong-arity tuple not skipped: %d tuples", r.Len())
 	}
 }
 

@@ -2,6 +2,7 @@ package faure_test
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -165,9 +166,14 @@ func TestParallelInjectedTripParity(t *testing.T) {
 // TestParallelSpeedupSmoke checks the point of the exercise: on a
 // multi-core machine, 8 workers must beat 1 worker on the solver-heavy
 // q4-q5 and q6 workloads. Wall-clock assertions are inherently noisy,
-// so each configuration takes its best of two runs. Skipped on a
-// single CPU, where no speedup is possible.
+// so each configuration takes its best of two runs. It runs only when
+// FAURE_TIMING=1 (the CI timing step sets it), so the default test
+// suite holds no wall-clock assertion; skipped on a single CPU, where
+// no speedup is possible.
 func TestParallelSpeedupSmoke(t *testing.T) {
+	if os.Getenv("FAURE_TIMING") != "1" {
+		t.Skip("wall-clock speedup assertion; set FAURE_TIMING=1 to run it")
+	}
 	if runtime.NumCPU() < 2 {
 		t.Skipf("NumCPU=%d: parallel speedup is not demonstrable", runtime.NumCPU())
 	}
