@@ -24,14 +24,18 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"faure"
+	"faure/internal/faurelog"
 	"faure/internal/obsflag"
 )
 
@@ -132,7 +136,7 @@ func compareReports(base, head benchReport, pct, floorMS float64) []string {
 			base, head float64
 		}{
 			{"wall", b.WallMS, h.WallMS},
-			{"solver", b.SolverMS, h.SolverMS},
+			{"solver", ms(b.SolverTime), ms(h.SolverTime)},
 		} {
 			if m.base < floorMS {
 				continue
@@ -174,60 +178,15 @@ func parseSizes(s string) ([]int, error) {
 }
 
 // benchWorkload is one query at one prefix count in the JSON report.
+// Besides the fields below, a workload object carries every counter
+// and phase timer of the evaluation's Stats under its
+// faurelog.Counters name (timers in milliseconds; provenance counters
+// only when nonzero) and the faurelog.Ratios derived from them.
 type benchWorkload struct {
-	Name       string  `json:"name"`
-	Prefixes   int     `json:"prefixes"`
-	WallMS     float64 `json:"wall_ms"`
-	SQLMS      float64 `json:"sql_ms"`
-	SolverMS   float64 `json:"solver_ms"`
-	Iterations int     `json:"iterations"`
-	Derived    int     `json:"derived"`
-	Pruned     int     `json:"pruned"`
-	Absorbed   int     `json:"absorbed"`
-	// AbsorbProbes counts absorption checks that fell through the
-	// syntactic fast path to a semantic solver probe.
-	AbsorbProbes int `json:"absorb_probes"`
-	SatCalls     int `json:"sat_calls"`
-	// Incremental-solver counters: exact-key certificate hits, related-
-	// certificate hits (base-witness replay / DAG propagation), compiled
-	// finite-domain fast-path hits, decisions that reached actual
-	// search, certificate-store evictions, and the headline ratio
-	// solver_searches / derived (well below 1 when certificates carry
-	// the run).
-	SolverCacheHits    int     `json:"solver_cache_hits"`
-	SolverCertHits     int     `json:"solver_cert_hits"`
-	SolverFastPathHits int     `json:"solver_fastpath_hits"`
-	SolverSearches     int     `json:"solver_searches"`
-	MemoEvictions      int64   `json:"memo_evictions"`
-	SatCallsPerDerived float64 `json:"sat_calls_per_derived"`
-	Tuples             int     `json:"tuples"`
-	// Intern counters: condition intern-table hit/miss deltas
-	// attributed to this workload's evaluation and the table's live
-	// node count when it finished (process-wide, monotonic across the
-	// sweep).
-	InternHits   int64 `json:"intern_hits"`
-	InternMisses int64 `json:"intern_misses"`
-	InternLive   int64 `json:"intern_live"`
-	// Store access counters: indexed probes (single- and
-	// multi-column), deliberate full scans, degraded probes that fell
-	// back to a scan, multi-column bucket intersections, and the
-	// fraction of accesses an index answered.
-	StoreProbes      int64   `json:"store_probes"`
-	StoreMultiProbes int64   `json:"store_multi_probes"`
-	StoreScans       int64   `json:"store_scans"`
-	StoreFallbacks   int64   `json:"store_fallback_scans"`
-	Intersections    int64   `json:"store_intersections"`
-	ProbeHitRatio    float64 `json:"probe_hit_ratio"`
-	// Plan counters: rule bodies the cost-guided planner considered
-	// and how many it reordered away from written order.
-	PlansPlanned   int64 `json:"plans_planned"`
-	PlansReordered int64 `json:"plans_reordered"`
-	// Provenance counters, present only when the sweep ran with -prov:
-	// derivation edges and parent references recorded, and edges a
-	// bounded flight recorder overwrote.
-	ProvEdges   int64 `json:"prov_edges,omitempty"`
-	ProvParents int64 `json:"prov_parents,omitempty"`
-	ProvEvicted int64 `json:"prov_evicted,omitempty"`
+	Name     string  `json:"name"`
+	Prefixes int     `json:"prefixes"`
+	WallMS   float64 `json:"wall_ms"`
+	Tuples   int     `json:"tuples"`
 	// Wall1WMS and Speedup are set when the sweep ran with -parallel
 	// N>1: the same workload's single-worker wall time and the ratio
 	// wall_1w_ms / wall_ms.
@@ -238,7 +197,67 @@ type benchWorkload struct {
 	// wall_noplan_ms / wall_ms.
 	WallNoPlanMS float64 `json:"wall_noplan_ms,omitempty"`
 	PlanSpeedup  float64 `json:"plan_speedup,omitempty"`
+	faure.Stats  `json:"-"`
 }
+
+// workloadFields is benchWorkload without its JSON methods.
+type workloadFields benchWorkload
+
+// MarshalJSON writes the named fields, then the counter table.
+func (w benchWorkload) MarshalJSON() ([]byte, error) {
+	b, err := json.Marshal(workloadFields(w))
+	if err != nil {
+		return nil, err
+	}
+	b = b[:len(b)-1] // reopen the object
+	add := func(key string, v any) {
+		val, verr := json.Marshal(v)
+		err = errors.Join(err, verr)
+		b = fmt.Appendf(b, ",%q:%s", key, val)
+	}
+	for _, c := range faurelog.Counters {
+		switch v := c.Get(&w.Stats); {
+		case c.Kind == faurelog.Timer:
+			add(c.Name, ms(time.Duration(v)))
+		case !c.Prov || v != 0:
+			add(c.Name, v)
+		}
+	}
+	for _, r := range faurelog.Ratios {
+		add(r.Name, r.Of(w.Stats))
+	}
+	return append(b, '}'), err
+}
+
+// UnmarshalJSON reads what MarshalJSON writes; a key missing from the
+// object leaves its counter as it was.
+func (w *benchWorkload) UnmarshalJSON(raw []byte) error {
+	if err := json.Unmarshal(raw, (*workloadFields)(w)); err != nil {
+		return err
+	}
+	var vals map[string]any
+	if err := json.Unmarshal(raw, &vals); err != nil {
+		return err
+	}
+	for _, c := range faurelog.Counters {
+		val, ok := vals[c.Name]
+		if !ok {
+			continue
+		}
+		v, ok := val.(float64)
+		if !ok {
+			return fmt.Errorf("workload %q: %s is not a number", w.Name, c.Name)
+		}
+		if c.Kind == faurelog.Timer {
+			v *= float64(time.Millisecond)
+		}
+		c.Set(&w.Stats, int64(math.Round(v)))
+	}
+	return nil
+}
+
+// ms renders a duration in milliseconds at microsecond resolution.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // benchReport is the top-level JSON document.
 type benchReport struct {
@@ -319,10 +338,9 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 		for i, base := range baselines {
 			for j, row := range results[i].Rows {
 				b := base.Rows[j]
-				if row.Wall > 0 {
+				if row.Wall() > 0 {
 					fmt.Fprintf(w, "  %-6s prefixes=%-8d wall=%v wall_1w=%v speedup=%.2fx\n",
-						row.Query, results[i].Prefixes, row.Wall, b.Wall,
-						float64(b.Wall)/float64(row.Wall))
+						row.Query, results[i].Prefixes, row.Wall(), b.Wall(), ratio(b.Wall(), row.Wall()))
 				}
 			}
 		}
@@ -335,11 +353,11 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 			}
 			row := j.res.Row
 			fmt.Fprintf(w, "  join   prefixes=%-8d hosts=%-6d wall=%v tuples=%d probes=%d multi=%d scans=%d",
-				j.prefixes, j.res.Hosts, row.Wall, row.Tuples,
-				row.StoreProbes, row.StoreMultiProbes, row.StoreScans)
-			if j.noPlan != nil && row.Wall > 0 {
+				j.prefixes, j.res.Hosts, row.Wall(), row.Tuples,
+				row.Probes, row.MultiProbes, row.Scans)
+			if j.noPlan != nil && row.Wall() > 0 {
 				fmt.Fprintf(w, " wall_noplan=%v plan_speedup=%.2fx",
-					j.noPlan.Row.Wall, float64(j.noPlan.Row.Wall)/float64(row.Wall))
+					j.noPlan.Row.Wall(), ratio(j.noPlan.Row.Wall(), row.Wall()))
 			}
 			fmt.Fprintln(w)
 		}
@@ -367,12 +385,12 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 			if err != nil {
 				return err
 			}
-			total := res.Rows[0].SQL + res.Rows[0].Solver
-			for _, r := range res.Rows[1:] {
-				total += r.SQL + r.Solver
+			var total time.Duration
+			for _, r := range res.Rows {
+				total += r.Wall()
 			}
 			fmt.Fprintf(w, "  %-16s total=%v (q4-q5 sql=%v solver=%v, tuples=%d)\n",
-				v.name, total, res.Rows[0].SQL, res.Rows[0].Solver, res.Rows[0].Tuples)
+				v.name, total, res.Rows[0].SQLTime, res.Rows[0].SolverTime, res.Rows[0].Tuples)
 		}
 	}
 
@@ -442,45 +460,22 @@ func runJoin(n int, seed int64, workers int, opts faure.Options) (joinRun, error
 }
 
 // workloadFromRow converts one query's measurements into the JSON
-// workload entry.
-func workloadFromRow(row faure.Table4Row, prefixes int) benchWorkload {
-	return benchWorkload{
-		Name:         row.Query,
-		Prefixes:     prefixes,
-		WallMS:       float64(row.Wall.Microseconds()) / 1000,
-		SQLMS:        float64(row.SQL.Microseconds()) / 1000,
-		SolverMS:     float64(row.Solver.Microseconds()) / 1000,
-		Iterations:   row.Iterations,
-		Derived:      row.Derived,
-		Pruned:       row.Pruned,
-		Absorbed:     row.Absorbed,
-		AbsorbProbes: row.AbsorbProbes,
-		SatCalls:     row.SatCalls,
-
-		SolverCacheHits:    row.SolverCacheHits,
-		SolverCertHits:     row.SolverCertHits,
-		SolverFastPathHits: row.SolverFastPathHits,
-		SolverSearches:     row.SolverSearches,
-		MemoEvictions:      row.MemoEvictions,
-		SatCallsPerDerived: row.SatCallsPerDerived,
-
-		Tuples:       row.Tuples,
-		InternHits:   row.InternHits,
-		InternMisses: row.InternMisses,
-		InternLive:   row.InternLive,
-
-		StoreProbes:      row.StoreProbes,
-		StoreMultiProbes: row.StoreMultiProbes,
-		StoreScans:       row.StoreScans,
-		StoreFallbacks:   row.StoreFallbacks,
-		Intersections:    row.Intersections,
-		ProbeHitRatio:    row.ProbeHitRatio,
-		PlansPlanned:     row.PlansPlanned,
-		PlansReordered:   row.PlansReordered,
-		ProvEdges:        row.ProvEdges,
-		ProvParents:      row.ProvParents,
-		ProvEvicted:      row.ProvEvicted,
+// workload entry; base, when non-nil, is the same query's
+// single-worker run for the speedup columns.
+func workloadFromRow(row faure.Table4Row, prefixes int, base *faure.Table4Row) benchWorkload {
+	wl := benchWorkload{Name: row.Query, Prefixes: prefixes, WallMS: ms(row.Wall()), Tuples: row.Tuples, Stats: row.Stats}
+	if base != nil {
+		wl.Wall1WMS, wl.Speedup = ms(base.Wall()), ratio(base.Wall(), row.Wall())
 	}
+	return wl
+}
+
+// ratio is slow/fast, 0 when fast is 0.
+func ratio(slow, fast time.Duration) float64 {
+	if fast <= 0 {
+		return 0
+	}
+	return float64(slow) / float64(fast)
 }
 
 // buildReport converts the sweep results into the JSON document.
@@ -491,30 +486,21 @@ func buildReport(results []*faure.Table4Result, baselines []*faure.Table4Result,
 	report := benchReport{Benchmark: "table4", Seed: seed, Pool: pool, Workers: workers}
 	for i, res := range results {
 		for j, row := range res.Rows {
-			wl := workloadFromRow(row, res.Prefixes)
+			var base *faure.Table4Row
 			if i < len(baselines) && j < len(baselines[i].Rows) {
-				b := baselines[i].Rows[j]
-				wl.Wall1WMS = float64(b.Wall.Microseconds()) / 1000
-				if row.Wall > 0 {
-					wl.Speedup = float64(b.Wall) / float64(row.Wall)
-				}
+				base = &baselines[i].Rows[j]
 			}
-			report.Workloads = append(report.Workloads, wl)
+			report.Workloads = append(report.Workloads, workloadFromRow(row, res.Prefixes, base))
 		}
 		if i < len(joins) && joins[i].res != nil {
 			j := joins[i]
-			wl := workloadFromRow(j.res.Row, j.prefixes)
+			var base *faure.Table4Row
 			if j.base != nil {
-				wl.Wall1WMS = float64(j.base.Row.Wall.Microseconds()) / 1000
-				if j.res.Row.Wall > 0 {
-					wl.Speedup = float64(j.base.Row.Wall) / float64(j.res.Row.Wall)
-				}
+				base = &j.base.Row
 			}
+			wl := workloadFromRow(j.res.Row, j.prefixes, base)
 			if j.noPlan != nil {
-				wl.WallNoPlanMS = float64(j.noPlan.Row.Wall.Microseconds()) / 1000
-				if j.res.Row.Wall > 0 {
-					wl.PlanSpeedup = float64(j.noPlan.Row.Wall) / float64(j.res.Row.Wall)
-				}
+				wl.WallNoPlanMS, wl.PlanSpeedup = ms(j.noPlan.Row.Wall()), ratio(j.noPlan.Row.Wall(), j.res.Row.Wall())
 			}
 			report.Workloads = append(report.Workloads, wl)
 		}

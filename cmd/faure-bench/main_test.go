@@ -1,14 +1,16 @@
 package main
 
 import (
-	"faure"
-
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"faure"
 )
 
 func TestParseSizes(t *testing.T) {
@@ -62,9 +64,9 @@ func TestRunJSONReport(t *testing.T) {
 	}
 	for i := range report.Workloads {
 		w := &report.Workloads[i]
-		if w.WallMS < w.SQLMS || w.WallMS < w.SolverMS {
-			t.Errorf("%s: wall %.3fms below phase times (sql %.3f, solver %.3f)",
-				w.Name, w.WallMS, w.SQLMS, w.SolverMS)
+		if w.WallMS < ms(w.SQLTime) || w.WallMS < ms(w.SolverTime) {
+			t.Errorf("%s: wall %.3fms below phase times (sql %v, solver %v)",
+				w.Name, w.WallMS, w.SQLTime, w.SolverTime)
 		}
 		if w.InternHits+w.InternMisses <= 0 || w.InternLive <= 0 {
 			t.Errorf("%s: intern counters not populated: %+v", w.Name, w)
@@ -72,7 +74,7 @@ func TestRunJSONReport(t *testing.T) {
 		if w.Name == "join" && (w.WallNoPlanMS <= 0 || w.PlanSpeedup <= 0) {
 			t.Errorf("join workload missing the -no-plan baseline columns: %+v", w)
 		}
-		w.WallMS, w.SQLMS, w.SolverMS = 0, 0, 0
+		w.WallMS, w.SQLTime, w.SolverTime = 0, 0, 0
 		w.InternHits, w.InternMisses, w.InternLive = 0, 0, 0
 		w.WallNoPlanMS, w.PlanSpeedup = 0, 0
 	}
@@ -82,22 +84,22 @@ func TestRunJSONReport(t *testing.T) {
 		// workload must show zero search-reaching decisions (certificates
 		// and the fd fast path answer everything at this scale).
 		Workloads: []benchWorkload{
-			{Name: "q4-q5", Prefixes: 50, Iterations: 6, Derived: 1815, Pruned: 520, AbsorbProbes: 228, SatCalls: 2563, Tuples: 1815,
+			{Name: "q4-q5", Prefixes: 50, Tuples: 1815, Stats: faure.Stats{Iterations: 6, Derived: 1815, Pruned: 520, AbsorbProbes: 228, SatCalls: 2563,
 				SolverCacheHits: 2031, SolverCertHits: 214, SolverFastPathHits: 318,
-				StoreProbes: 1815, StoreScans: 2, ProbeHitRatio: 1815.0 / 1817.0, PlansPlanned: 7, PlansReordered: 1},
-			{Name: "q6", Prefixes: 50, Iterations: 1, Derived: 1815, AbsorbProbes: 228, SatCalls: 2043, Tuples: 1815,
+				Probes: 1815, Scans: 2, PlansPlanned: 7, PlansReordered: 1}},
+			{Name: "q6", Prefixes: 50, Tuples: 1815, Stats: faure.Stats{Iterations: 1, Derived: 1815, AbsorbProbes: 228, SatCalls: 2043,
 				SolverCacheHits: 1643, SolverCertHits: 214, SolverFastPathHits: 186,
-				StoreScans: 1},
-			{Name: "q7", Prefixes: 50, Iterations: 1, Derived: 17, Pruned: 2, AbsorbProbes: 3, SatCalls: 22, Tuples: 17,
+				Scans: 1}},
+			{Name: "q7", Prefixes: 50, Tuples: 17, Stats: faure.Stats{Iterations: 1, Derived: 17, Pruned: 2, AbsorbProbes: 3, SatCalls: 22,
 				SolverCacheHits: 2, SolverCertHits: 3, SolverFastPathHits: 17,
-				StoreProbes: 1, ProbeHitRatio: 1},
-			{Name: "q8", Prefixes: 50, Iterations: 1, Derived: 293, AbsorbProbes: 65, SatCalls: 358, Tuples: 293,
+				Probes: 1}},
+			{Name: "q8", Prefixes: 50, Tuples: 293, Stats: faure.Stats{Iterations: 1, Derived: 293, AbsorbProbes: 65, SatCalls: 358,
 				SolverCacheHits: 201, SolverCertHits: 64, SolverFastPathHits: 93,
-				StoreProbes: 1, ProbeHitRatio: 1},
-			{Name: "join", Prefixes: 50, Iterations: 3, Derived: 1784, Pruned: 2649, Absorbed: 1893, AbsorbProbes: 3054, SatCalls: 8771, Tuples: 1311,
+				Probes: 1}},
+			{Name: "join", Prefixes: 50, Tuples: 1311, Stats: faure.Stats{Iterations: 3, Derived: 1784, Pruned: 2649, Absorbed: 1893, AbsorbProbes: 3054, SatCalls: 8771,
 				SolverCacheHits: 7567, SolverCertHits: 18, SolverFastPathHits: 1186,
-				StoreProbes: 495, StoreMultiProbes: 95, StoreScans: 11, Intersections: 26,
-				ProbeHitRatio: 590.0 / 601.0, PlansPlanned: 2, PlansReordered: 2},
+				Probes: 495, MultiProbes: 95, Scans: 11, Intersections: 26,
+				PlansPlanned: 2, PlansReordered: 2}},
 		},
 	}
 	if len(report.Workloads) != len(golden.Workloads) {
@@ -109,6 +111,121 @@ func TestRunJSONReport(t *testing.T) {
 		if want := golden.Workloads[i]; got != want {
 			t.Errorf("workload %d:\n got %+v\nwant %+v", i, got, want)
 		}
+	}
+	// The derived ratios are written next to the counts they follow
+	// from: q4-q5 probed 1815 of 1817 store accesses, join 590 of 601.
+	var ratios struct {
+		Workloads []struct {
+			ProbeHitRatio float64 `json:"probe_hit_ratio"`
+		} `json:"workloads"`
+	}
+	if err := json.Unmarshal(raw, &ratios); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{1815.0 / 1817.0, 0, 1, 1, 590.0 / 601.0} {
+		if got := ratios.Workloads[i].ProbeHitRatio; got != want {
+			t.Errorf("workload %d: probe_hit_ratio %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestReportSchema pins the keys of a JSON workload object, as the
+// table-driven writer must keep them: the Table-4 and join workloads
+// of a plain sweep, a -prov -1 sweep and a -parallel 2 sweep. CI's
+// regression gate compares against reports of earlier commits, so the
+// set may only grow deliberately.
+func TestReportSchema(t *testing.T) {
+	base := []string{"absorb_probes", "absorbed", "derived", "intern_hits", "intern_live", "intern_misses",
+		"iterations", "memo_evictions", "name", "plans_planned", "plans_reordered", "prefixes",
+		"probe_hit_ratio", "pruned", "sat_calls", "sat_calls_per_derived", "solver_cache_hits",
+		"solver_cert_hits", "solver_fastpath_hits", "solver_ms", "solver_searches", "sql_ms",
+		"store_fallback_scans", "store_intersections", "store_multi_probes", "store_probes",
+		"store_scans", "tuples", "wall_ms"}
+	join := []string{"plan_speedup", "wall_noplan_ms"}
+	for _, tc := range []struct {
+		name  string
+		opts  faure.Options
+		extra []string
+	}{
+		{"plain", faure.Options{}, nil},
+		{"prov", faure.WithProvenance(faure.Options{}, faure.NewProvenance(0)), []string{"prov_edges", "prov_parents"}},
+		{"parallel", faure.Options{Workers: 2}, []string{"speedup", "wall_1w_ms"}},
+	} {
+		out := filepath.Join(t.TempDir(), tc.name+".json")
+		var buf bytes.Buffer
+		if err := run(&buf, []int{30}, 1, 10, false, true, out, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report struct {
+			Workloads []map[string]any `json:"workloads"`
+		}
+		if err := json.Unmarshal(raw, &report); err != nil {
+			t.Fatal(err)
+		}
+		for _, wl := range report.Workloads {
+			want := append(append([]string{}, base...), tc.extra...)
+			switch wl["name"] {
+			case "q4-q5":
+			case "join":
+				want = append(want, join...)
+			default:
+				continue
+			}
+			sort.Strings(want)
+			got := make([]string, 0, len(wl))
+			for k := range wl {
+				got = append(got, k)
+			}
+			sort.Strings(got)
+			if strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Errorf("%s %v keys:\n got %v\nwant %v", tc.name, wl["name"], got, want)
+			}
+		}
+	}
+}
+
+// TestReadEarlierReport reads a workload as faure-bench wrote it before
+// the JSON was driven by the counter table: CI's regression gate reads
+// the base commit's report with the head's reader.
+func TestReadEarlierReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "base.json")
+	earlier := `{"benchmark": "table4", "seed": 1, "pool": 10, "workers": 1, "workloads": [{
+		"name": "join", "prefixes": 30, "wall_ms": 44.806, "sql_ms": 31.859, "solver_ms": 12.947,
+		"iterations": 3, "derived": 1034, "pruned": 1413, "absorbed": 924, "absorb_probes": 1629,
+		"sat_calls": 4709, "solver_cache_hits": 3981, "solver_cert_hits": 11, "solver_fastpath_hits": 717,
+		"solver_searches": 0, "memo_evictions": 0, "sat_calls_per_derived": 0, "tuples": 753,
+		"intern_hits": 10294, "intern_misses": 1157, "intern_live": 2293, "store_probes": 239,
+		"store_multi_probes": 57, "store_scans": 11, "store_fallback_scans": 0, "store_intersections": 11,
+		"probe_hit_ratio": 0.9641693811074918, "plans_planned": 2, "plans_reordered": 2,
+		"wall_noplan_ms": 32.611, "plan_speedup": 0.7278371395531092}]}`
+	if err := os.WriteFile(path, []byte(earlier), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report, err := readReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := benchWorkload{Name: "join", Prefixes: 30, WallMS: 44.806, Tuples: 753,
+		WallNoPlanMS: 32.611, PlanSpeedup: 0.7278371395531092,
+		Stats: faure.Stats{SQLTime: 31859 * time.Microsecond, SolverTime: 12947 * time.Microsecond,
+			Iterations: 3, Derived: 1034, Pruned: 1413, Absorbed: 924, AbsorbProbes: 1629, SatCalls: 4709,
+			SolverCacheHits: 3981, SolverCertHits: 11, SolverFastPathHits: 717,
+			InternHits: 10294, InternMisses: 1157, InternLive: 2293,
+			Probes: 239, MultiProbes: 57, Scans: 11, Intersections: 11, PlansPlanned: 2, PlansReordered: 2}}
+	if len(report.Workloads) != 1 || report.Workloads[0] != want {
+		t.Fatalf("read %+v\nwant %+v", report.Workloads, want)
+	}
+	// Written back, the workload keeps every value it was read with.
+	again := filepath.Join(t.TempDir(), "again.json")
+	if err := writeReport(again, report); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := readReport(again); err != nil || back.Workloads[0] != want {
+		t.Fatalf("round trip: %+v (%v)", back.Workloads, err)
 	}
 }
 
@@ -131,7 +248,7 @@ func TestRunJSONDeterministic(t *testing.T) {
 		}
 		for i := range r.Workloads {
 			w := &r.Workloads[i]
-			w.WallMS, w.SQLMS, w.SolverMS = 0, 0, 0
+			w.WallMS, w.SQLTime, w.SolverTime = 0, 0, 0
 			w.WallNoPlanMS, w.PlanSpeedup = 0, 0
 			// Intern counters vary with process history (a warm global
 			// intern table converts misses into hits); the determinism

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"faure"
 	"faure/internal/obsflag"
@@ -101,8 +102,8 @@ func cmdEval(args []string) error {
 	noIndex := fs.Bool("no-index", false, "disable hash-index probes")
 	backend := fs.String("backend", "native", "evaluation backend: native or sql")
 	simplify := fs.Bool("simplify", false, "simplify derived conditions for display")
-	explain := fs.String("explain", "", "trace evaluation and print derivations of this predicate")
-	trace := fs.Bool("trace", false, "trace evaluation and print the derivation tree of every derived tuple")
+	explain := fs.String("explain", "", "record provenance and print derivations of this predicate")
+	trace := fs.Bool("trace", false, "record provenance and print the derivation tree of every derived tuple")
 	ob := obsflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -124,12 +125,17 @@ func cmdEval(args []string) error {
 	}
 	var res *faure.Result
 	var truncated *faure.BudgetExceeded
+	// rec stays nil on the sql backend, which records no provenance.
+	var rec *faure.ProvRecorder
 	switch *backend {
 	case "native":
+		if *explain != "" || *trace {
+			rec = faure.NewProvenance(0)
+		}
 		res, err = faure.Eval(prog, db, faure.Options{
 			NoEagerPrune: *noPrune, NoAbsorb: *noAbsorb, NoIndex: *noIndex,
 			NoPlan:   ob.NoPlan(),
-			Trace:    *explain != "" || *trace,
+			Prov:     rec,
 			Observer: ob.Observer(),
 			Budget:   ob.Budget(),
 			Workers:  ob.Workers(),
@@ -145,12 +151,15 @@ func cmdEval(args []string) error {
 		}
 		res = &faure.Result{DB: out, Stats: faure.Stats{
 			SQLTime: sqlStats.SQLTime, SolverTime: sqlStats.SolverTime,
-			Derived: sqlStats.Inserted, Pruned: sqlStats.Deleted, Iterations: sqlStats.Iterations,
+			Derived: int64(sqlStats.Inserted), Pruned: int64(sqlStats.Deleted), Iterations: int64(sqlStats.Iterations),
 		}}
 		truncated = sqlStats.Truncated
 	default:
 		return fmt.Errorf("unknown backend %q (native or sql)", *backend)
 	}
+	// The recorder knows tuples by identity, which hashes the condition,
+	// so the trees are built before -simplify rewrites the conditions.
+	derivs, derivErr := derivations(rec, res.DB, prog, *explain, *trace)
 	if *simplify {
 		if err := simplifyTables(res.DB, prog); err != nil {
 			return err
@@ -163,49 +172,16 @@ func cmdEval(args []string) error {
 		}
 		fmt.Print(tbl)
 	} else {
-		idb := prog.IDB()
-		names := make([]string, 0, len(idb))
-		for n := range idb {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range idbNames(prog) {
 			if tbl := res.DB.Table(n); tbl != nil {
 				fmt.Print(tbl)
 			}
 		}
 	}
-	if *explain != "" {
-		exps := res.ExplainAll(*explain)
-		if len(exps) == 0 {
-			return fmt.Errorf("no traced derivations for %q (sql backend does not trace)", *explain)
-		}
-		fmt.Printf("derivations of %s:\n", *explain)
-		for _, e := range exps {
-			fmt.Print(e)
-		}
+	if derivErr != nil {
+		return derivErr
 	}
-	if *trace {
-		if *backend != "native" {
-			return fmt.Errorf("-trace requires the native backend (sql backend does not trace)")
-		}
-		idb := prog.IDB()
-		names := make([]string, 0, len(idb))
-		for n := range idb {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			exps := res.ExplainAll(n)
-			if len(exps) == 0 {
-				continue
-			}
-			fmt.Printf("derivations of %s:\n", n)
-			for _, e := range exps {
-				fmt.Print(e)
-			}
-		}
-	}
+	fmt.Print(derivs)
 	if *stats {
 		s := res.Stats
 		fmt.Printf("sql=%v solver=%v derived=%d pruned=%d absorbed=%d iterations=%d sat-calls=%d\n",
@@ -217,6 +193,56 @@ func cmdEval(args []string) error {
 		return fmt.Errorf("result incomplete: %w", truncated)
 	}
 	return nil
+}
+
+// idbNames returns the predicates the program derives, sorted.
+func idbNames(prog *faure.Program) []string {
+	idb := prog.IDB()
+	names := make([]string, 0, len(idb))
+	for n := range idb {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// derivations renders the derivation trees -explain and -trace ask
+// for: every tuple of pred, then (with all) every tuple of each
+// derived predicate. rec is nil when the backend recorded no
+// provenance.
+func derivations(rec *faure.ProvRecorder, db *faure.Database, prog *faure.Program, pred string, all bool) (string, error) {
+	if pred == "" && !all {
+		return "", nil
+	}
+	noPred := fmt.Errorf("no traced derivations for %q (sql backend does not trace)", pred)
+	if rec == nil {
+		if pred != "" {
+			return "", noPred
+		}
+		return "", fmt.Errorf("-trace requires the native backend (sql backend does not trace)")
+	}
+	x := faure.NewProvExplainer(rec, db)
+	var b strings.Builder
+	write := func(p string) bool {
+		trees := x.ExplainAll(p)
+		if len(trees) == 0 {
+			return false
+		}
+		fmt.Fprintf(&b, "derivations of %s:\n", p)
+		for _, tr := range trees {
+			b.WriteString(tr.String())
+		}
+		return true
+	}
+	if pred != "" && !write(pred) {
+		return "", noPred
+	}
+	if all {
+		for _, n := range idbNames(prog) {
+			write(n)
+		}
+	}
+	return b.String(), nil
 }
 
 func cmdWorlds(args []string) error {

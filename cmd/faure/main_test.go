@@ -88,6 +88,36 @@ func TestCmdEvalTrace(t *testing.T) {
 	}
 }
 
+// TestCmdEvalSimplifyExplain: -simplify rewrites conditions after the
+// derivation trees are built, so tuples whose condition simplifies
+// still print the rule that derived them.
+func TestCmdEvalSimplifyExplain(t *testing.T) {
+	db := writeFile(t, "state.fdb", `
+		var $x in {0, 1}.
+		fwd(F0, 1, 2)[$x = 1 || $x = 0].
+		fwd(F0, 2, 4).
+	`)
+	_, prog := demoFiles(t)
+	for _, mode := range [][]string{{"-explain", "reach"}, {"-trace"}} {
+		args := append([]string{"-db", db, "-program", prog, "-simplify"}, mode...)
+		out, _, err := capture(t, func() error { return cmdEval(args) })
+		if err != nil {
+			t.Fatalf("cmdEval %v: %v", args, err)
+		}
+		for _, tuple := range []string{"reach(F0, 1, 2)", "reach(F0, 1, 4)"} {
+			found := false
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, tuple) && strings.Contains(line, "⇐") {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("%v: no rule line for %s:\n%s", mode, tuple, out)
+			}
+		}
+	}
+}
+
 func TestCmdEvalMetrics(t *testing.T) {
 	db, prog := demoFiles(t)
 	_, errOut, err := capture(t, func() error {

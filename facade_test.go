@@ -115,10 +115,10 @@ func TestFormatTable4Durations(t *testing.T) {
 	res := &faure.Table4Result{
 		Prefixes: 7,
 		Rows: []faure.Table4Row{
-			{Query: "q4-q5", SQL: 2 * time.Second, Solver: 3 * time.Millisecond, Tuples: 10},
-			{Query: "q6", SQL: 150 * time.Microsecond, Solver: 0, Tuples: 20},
-			{Query: "q7", SQL: time.Millisecond, Solver: time.Second, Tuples: 30},
-			{Query: "q8", SQL: 0, Solver: 0, Tuples: 40},
+			{Query: "q4-q5", Stats: faure.Stats{SQLTime: 2 * time.Second, SolverTime: 3 * time.Millisecond}, Tuples: 10},
+			{Query: "q6", Stats: faure.Stats{SQLTime: 150 * time.Microsecond}, Tuples: 20},
+			{Query: "q7", Stats: faure.Stats{SQLTime: time.Millisecond, SolverTime: time.Second}, Tuples: 30},
+			{Query: "q8", Tuples: 40},
 		},
 	}
 	out := faure.FormatTable4([]*faure.Table4Result{res})

@@ -97,8 +97,6 @@ type (
 	Result = faurelog.Result
 	// Stats is the sql/solver phase breakdown of an evaluation.
 	Stats = faurelog.Stats
-	// Explanation is a derivation tree from a traced evaluation.
-	Explanation = faurelog.Explanation
 )
 
 // Verification types.

@@ -85,16 +85,18 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("loss-lessness violated: %v", mis[0])
 	}
 
-	// 6. Failure-pattern query over the reachability output, traced.
+	// 6. Failure-pattern query over the reachability output, with
+	// provenance recorded.
 	q6 := faure.MustParse(`cut(f, a, b) :- reach(f, a, b), $x+$y+$z = 1.`)
-	res6, err := faure.Eval(q6, res1.DB, faure.Options{Trace: true})
+	rec := faure.NewProvenance(0)
+	res6, err := faure.Eval(q6, res1.DB, faure.WithProvenance(faure.Options{}, rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res6.DB.Table("cut").Len() == 0 {
 		t.Fatalf("q6 produced nothing")
 	}
-	exps := res6.ExplainAll("cut")
+	exps := faure.NewProvExplainer(rec, res6.DB).ExplainAll("cut")
 	if len(exps) == 0 || !strings.Contains(exps[0].String(), "reach(") {
 		t.Errorf("q6 derivations should cite reach tuples")
 	}

@@ -225,7 +225,7 @@ type compiledRule struct {
 	groundHead *cond.Formula
 
 	// Strings built once per rule instead of once per tuple: the rule's
-	// rendering for traces and provenance (only when either is on) and
+	// rendering for provenance (only when recording is on) and
 	// the budget-trip locations.
 	ruleStr   string
 	condWhere string
@@ -267,15 +267,15 @@ type rulePlan struct {
 }
 
 // compileRule compiles a validated rule for every delta position.
-// traced asks for the rule's rendering (tracing or provenance on).
-func compileRule(r Rule, traced bool) (*compiledRule, error) {
+// recording asks for the rule's rendering (provenance on).
+func compileRule(r Rule, recording bool) (*compiledRule, error) {
 	cr := &compiledRule{
 		rule:      r,
 		pred:      r.Head.Pred,
 		condWhere: "derived condition for " + r.Head.Pred,
 		relWhere:  "derived relation " + r.Head.Pred,
 	}
-	if traced {
+	if recording {
 		cr.ruleStr = r.String()
 	}
 	// Slots in order of first occurrence in the positive literals; rule

@@ -46,10 +46,6 @@ type Options struct {
 	// NoSolverCache disables the solver's memoisation of
 	// satisfiability results (ablation knob).
 	NoSolverCache bool
-	// Trace records, for every derived tuple, the rule and body tuples
-	// of its first derivation, enabling Result.Explain. Costs memory
-	// proportional to the number of derived tuples.
-	Trace bool
 	// Prov, when non-nil, records every committed tuple's provenance
 	// edge — rule, parent tuple identities, stratum/round, preparing
 	// worker — into the recorder (see internal/prov). Recording happens
@@ -115,126 +111,9 @@ func (o Options) workerCount() int {
 	return 1
 }
 
-// Stats reports the work done by one evaluation, mirroring the paper's
-// Table 4 breakdown: SQLTime is the relational phase (joins, condition
-// construction, dedup), SolverTime is the condition-solving phase (the
-// paper's Z3 column).
-//
-// Stats is a compatibility view over the measurements that also feed
-// Options.Observer: SQLTime is the run's wall clock — covering every
-// phase, the deferred final prune included — minus the total solver
-// time, both read once at the very end of the run, so no solver work
-// from a later phase can leak into the relational column.
-type Stats struct {
-	SQLTime    time.Duration
-	SolverTime time.Duration
-	Derived    int // tuples inserted into derived relations
-	Pruned     int // tuples dropped for contradictory conditions
-	Absorbed   int // tuples dropped by semantic absorption
-	Iterations int // total fixpoint rounds across strata
-	SatCalls   int // solver satisfiability decisions
-	// Incremental-solver counters (see internal/solver): decisions
-	// answered by an exact-key cached certificate, by a related
-	// certificate (base replay / DAG propagation), by the compiled
-	// finite-domain fast path, how many reached actual search, and how
-	// many certificate-store entries were clock-evicted.
-	SolverCacheHits    int
-	SolverCertHits     int
-	SolverFastPathHits int
-	SolverSearches     int
-	MemoEvictions      int64
-	// AbsorbProbes counts absorption checks that actually reached the
-	// solver's Implies — the syntactic fast path answers the rest for
-	// free, so the gap between absorption candidates and probes is the
-	// fast path's hit count.
-	AbsorbProbes int
-	// Intern counters snapshot the condition intern table (see
-	// internal/cond): Hits/Misses are this run's constructor lookups
-	// (deltas over the run), Live is the table's node count at the end
-	// of the run (process-wide — the table is global and monotonic).
-	InternHits   int64
-	InternMisses int64
-	InternLive   int64
-	// Store counters snapshot the relation store's index usage over the
-	// run: single-column probes, multi-column intersection probes,
-	// deliberate full scans, probes that fell back to full scans
-	// (c-variable keys, columns the index cannot see), and how many
-	// column candidate lists were intersected beyond the first.
-	Probes        int64
-	MultiProbes   int64
-	Scans         int64
-	FallbackScans int64
-	Intersections int64
-	// Planner counters: how many rule applications were planned and how
-	// many of those the cost model actually reordered away from the
-	// written literal order.
-	PlansPlanned   int64
-	PlansReordered int64
-	// Provenance counters (zero unless Options.Prov was set): edges and
-	// parent references this run recorded, and edges the bounded
-	// recorder's ring evicted during the run.
-	ProvEdges   int64
-	ProvParents int64
-	ProvEvicted int64
-}
-
-// ProbeHitRatio is the fraction of store lookups the hash indexes
-// answered without scanning the whole relation; 1 when no lookup was
-// served.
-func (s Stats) ProbeHitRatio() float64 {
-	return relstore.Counters{
-		Probes:      s.Probes,
-		MultiProbes: s.MultiProbes,
-		Scans:       s.Scans,
-		Fallbacks:   s.FallbackScans,
-	}.HitRatio()
-}
-
-// SatCallsPerDerived is the run's search-reaching solver decisions per
-// derived tuple — the headline metric for the incremental solver: a
-// value well below 1 means most conditions were decided by certificate
-// reuse or the compiled finite-domain fast path rather than search.
-func (s Stats) SatCallsPerDerived() float64 {
-	if s.Derived == 0 {
-		return 0
-	}
-	return float64(s.SolverSearches) / float64(s.Derived)
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.SQLTime += other.SQLTime
-	s.SolverTime += other.SolverTime
-	s.Derived += other.Derived
-	s.Pruned += other.Pruned
-	s.Absorbed += other.Absorbed
-	s.Iterations += other.Iterations
-	s.SatCalls += other.SatCalls
-	s.SolverCacheHits += other.SolverCacheHits
-	s.SolverCertHits += other.SolverCertHits
-	s.SolverFastPathHits += other.SolverFastPathHits
-	s.SolverSearches += other.SolverSearches
-	s.MemoEvictions += other.MemoEvictions
-	s.AbsorbProbes += other.AbsorbProbes
-	s.InternHits += other.InternHits
-	s.InternMisses += other.InternMisses
-	// Live is a gauge over a shared global table, not per-run work.
-	s.InternLive = max(s.InternLive, other.InternLive)
-	s.Probes += other.Probes
-	s.MultiProbes += other.MultiProbes
-	s.Scans += other.Scans
-	s.FallbackScans += other.FallbackScans
-	s.Intersections += other.Intersections
-	s.PlansPlanned += other.PlansPlanned
-	s.PlansReordered += other.PlansReordered
-	s.ProvEdges += other.ProvEdges
-	s.ProvParents += other.ProvParents
-	s.ProvEvicted += other.ProvEvicted
-}
-
 // Result is the outcome of an evaluation: the database extended with
-// the derived relations, plus statistics and (when Options.Trace was
-// set) the derivation trace behind Explain.
+// the derived relations, plus statistics. Derivation trees come from
+// the recorder passed as Options.Prov (see internal/prov).
 type Result struct {
 	DB    *ctable.Database
 	Stats Stats
@@ -244,7 +123,6 @@ type Result struct {
 	// fixpoint. Consumers that need completeness (the verifier) must
 	// treat a truncated result as Unknown, never as evidence of absence.
 	Truncated *budget.Exceeded
-	trace     map[string]Derivation
 }
 
 // Table returns a derived or input table by name, or nil.
@@ -341,11 +219,9 @@ type engine struct {
 	extraExport  []string
 	arity        map[string]int
 	stats        Stats
-	trace        map[string]Derivation
 	// needSrcs gates the per-match source collection in join: true when
-	// either tracing or provenance recording consumes the sources, so
-	// both features share one plumbing cost and a disabled run pays a
-	// single flag check.
+	// provenance recording consumes the sources, so a disabled run pays
+	// a single flag check.
 	needSrcs bool
 	// prov is the provenance recorder (nil = off); provStart snapshots
 	// its counters at engine construction so Stats reports this run's
@@ -424,14 +300,11 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 			e.wrk[i] = &evalWorker{sol: ws, idx: i}
 		}
 	}
-	if opts.Trace {
-		e.trace = map[string]Derivation{}
-	}
 	if opts.Prov != nil {
 		e.prov = opts.Prov
 		e.provStart = opts.Prov.Stats()
 	}
-	e.needSrcs = e.trace != nil || e.prov != nil
+	e.needSrcs = e.prov != nil
 	e.rules = make([]*compiledRule, len(prog.Rules))
 	for i, r := range prog.Rules {
 		cr, err := compileRule(r, e.needSrcs)
@@ -504,7 +377,15 @@ func (e *engine) run() error {
 	if e.obsOn {
 		evalSpan = e.o.StartSpan("eval", obs.Int("rules", int64(len(e.prog.Rules))))
 	}
-	err := e.runStrata(evalSpan)
+	return e.finish(start, evalSpan, e.runStrata(evalSpan))
+}
+
+// finish is the end-of-run step Eval and EvalIncrement share: the
+// deferred final prune (when eager pruning is off and the run got this
+// far without error), then the phase split, the capture of every
+// counter the engine does not bump in place, and their publication. It
+// returns err, or the final prune's error.
+func (e *engine) finish(start time.Time, evalSpan obs.Span, err error) error {
 	if err == nil && e.opts.NoEagerPrune {
 		var sp obs.Span
 		if e.obsOn {
@@ -528,7 +409,7 @@ func (e *engine) run() error {
 	e.captureStoreStats()
 	e.captureProvStats()
 	if e.obsOn {
-		e.reportTotals(evalSpan)
+		e.stats.report(e.o, evalSpan, e.prov != nil)
 		evalSpan.End()
 	}
 	return err
@@ -557,10 +438,10 @@ func (e *engine) captureSolverStats() {
 	for _, w := range e.wrk {
 		ss.Add(w.sol.Stats())
 	}
-	e.stats.SolverCacheHits = ss.CacheHits
-	e.stats.SolverCertHits = ss.CertHits
-	e.stats.SolverFastPathHits = ss.FastPathHits
-	e.stats.SolverSearches = ss.Searches()
+	e.stats.SolverCacheHits = int64(ss.CacheHits)
+	e.stats.SolverCertHits = int64(ss.CertHits)
+	e.stats.SolverFastPathHits = int64(ss.FastPathHits)
+	e.stats.SolverSearches = int64(ss.Searches())
 	e.stats.MemoEvictions = int64(ss.Evictions)
 	if e.memo != nil {
 		e.stats.MemoEvictions += e.memo.Evictions()
@@ -627,47 +508,6 @@ func (e *engine) stratumRules(preds []string) ([]*compiledRule, map[string]bool)
 		}
 	}
 	return rules, inStratum
-}
-
-// reportTotals publishes the run's aggregate counters and the phase
-// time split to the observer and onto the eval span.
-func (e *engine) reportTotals(evalSpan obs.Span) {
-	e.o.ObserveDuration("eval.sql_time", e.stats.SQLTime)
-	e.o.ObserveDuration("eval.solver_time", e.stats.SolverTime)
-	e.o.Count("eval.derived", int64(e.stats.Derived))
-	e.o.Count("eval.pruned", int64(e.stats.Pruned))
-	e.o.Count("eval.absorbed", int64(e.stats.Absorbed))
-	e.o.Count("eval.iterations", int64(e.stats.Iterations))
-	e.o.Count("eval.sat_calls", int64(e.stats.SatCalls))
-	e.o.Count("eval.solver_cache_hits", int64(e.stats.SolverCacheHits))
-	e.o.Count("eval.solver_cert_hits", int64(e.stats.SolverCertHits))
-	e.o.Count("eval.solver_fastpath_hits", int64(e.stats.SolverFastPathHits))
-	e.o.Count("eval.solver_searches", int64(e.stats.SolverSearches))
-	e.o.Count("eval.memo_evictions", e.stats.MemoEvictions)
-	e.o.SetGauge("eval.sat_calls_per_derived", e.stats.SatCallsPerDerived())
-	e.o.Count("eval.absorb_probes", int64(e.stats.AbsorbProbes))
-	e.o.Count("eval.intern_hits", e.stats.InternHits)
-	e.o.Count("eval.intern_misses", e.stats.InternMisses)
-	e.o.SetGauge("cond.intern_live", float64(e.stats.InternLive))
-	e.o.Count("eval.store_probes", e.stats.Probes)
-	e.o.Count("eval.store_multi_probes", e.stats.MultiProbes)
-	e.o.Count("eval.store_scans", e.stats.Scans)
-	e.o.Count("eval.store_fallback_scans", e.stats.FallbackScans)
-	e.o.Count("eval.store_intersections", e.stats.Intersections)
-	e.o.Count("eval.plans_planned", e.stats.PlansPlanned)
-	e.o.Count("eval.plans_reordered", e.stats.PlansReordered)
-	e.o.SetGauge("eval.probe_hit_ratio", e.stats.ProbeHitRatio())
-	if e.prov != nil {
-		e.o.Count("eval.prov_edges", e.stats.ProvEdges)
-		e.o.Count("eval.prov_parents", e.stats.ProvParents)
-		e.o.Count("eval.prov_evicted", e.stats.ProvEvicted)
-	}
-	evalSpan.SetAttrs(
-		obs.Int("derived", int64(e.stats.Derived)),
-		obs.Int("pruned", int64(e.stats.Pruned)),
-		obs.Int("absorbed", int64(e.stats.Absorbed)),
-		obs.Int("iterations", int64(e.stats.Iterations)),
-	)
 }
 
 // delta is the per-round set of newly derived tuples for the recursive
@@ -831,7 +671,7 @@ func (e *engine) deriveRuleObserved(p *rulePlan, deltaTuples []ctable.Tuple, sin
 	sp := itSpan.StartChild("rule", obs.String("head", p.pred))
 	before := e.stats.Derived
 	err := e.deriveRule(p, deltaTuples, emit)
-	derived := int64(e.stats.Derived - before)
+	derived := e.stats.Derived - before
 	sp.SetAttrs(obs.Int("derived", derived))
 	sp.End()
 	e.o.Count("eval.rule_derived."+p.pred, derived)
@@ -1063,7 +903,7 @@ type prepared struct {
 	key     ctable.TupleID
 	dataKey [2]uint64     // data-part hash, for absorption grouping
 	rule    *compiledRule // the deriving rule, for its strings
-	srcs    []Source      // copied, set when tracing or recording provenance
+	srcs    []Source      // copied, set when recording provenance
 	// worker is the preparing worker's index (0 sequentially); recorded
 	// as provenance diagnostics, never part of canonical output.
 	worker int
@@ -1139,7 +979,7 @@ func (e *engine) prepareEmit(p *rulePlan, slots []cond.Term, conds []*cond.Formu
 }
 
 // commit is the serial half of an emission: dedup, eager prune,
-// absorption, budget charge, insert, trace, sink. All shared engine
+// absorption, budget charge, insert, provenance, sink. All shared engine
 // state is touched only here, which is why the parallel merge — which
 // replays prepared candidates in sequential emission order — yields
 // bit-identical tables. satKnown carries a worker's speculative
@@ -1193,14 +1033,19 @@ func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable
 	}
 	e.pending = append(e.pending, pendingInsert{pred: p.pred, tp: p.tp})
 	e.stats.Derived++
-	if e.trace != nil {
-		e.trace[traceKey(p.pred, p.tp)] = Derivation{Rule: p.rule.ruleStr, Sources: p.srcs}
-	}
 	if e.prov != nil {
 		e.recordProv(&p)
 	}
 	sink(p.pred, p.tp)
 	return nil
+}
+
+// Source is one body fact a derivation consumed: a positive match or a
+// negated literal (whose "match" is the absence condition).
+type Source struct {
+	Pred    string
+	Tuple   ctable.Tuple
+	Negated bool
 }
 
 // recordProv stores the provenance edge of a just-committed tuple.
@@ -1300,7 +1145,7 @@ func (e *engine) result() (*Result, error) {
 		}
 		out.AddTable(rel.Table(attrs))
 	}
-	return &Result{DB: out, Stats: e.stats, trace: e.trace}, nil
+	return &Result{DB: out, Stats: e.stats}, nil
 }
 
 // Stratify orders the program's IDB predicates for evaluation: it

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"faure/internal/cond"
-	"faure/internal/ctable"
+	"faure/internal/prov"
 	"faure/internal/solver"
 )
 
@@ -163,16 +163,6 @@ func TestMaxIterations(t *testing.T) {
 	}
 	if _, err := Eval(prog, db, Options{MaxIterations: 50}); err != nil {
 		t.Errorf("ample bound should converge: %v", err)
-	}
-}
-
-// TestStatsAdd covers the accumulator.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Derived: 1, Pruned: 2, Absorbed: 3, Iterations: 4, SatCalls: 5}
-	b := Stats{Derived: 10, Pruned: 20, Absorbed: 30, Iterations: 40, SatCalls: 50}
-	a.Add(b)
-	if a.Derived != 11 || a.Pruned != 22 || a.Absorbed != 33 || a.Iterations != 44 || a.SatCalls != 55 {
-		t.Errorf("Add wrong: %+v", a)
 	}
 }
 
@@ -410,7 +400,8 @@ func TestStratifyMutualRecursionGroup(t *testing.T) {
 	}
 }
 
-// TestTraceExplain: traced evaluation reconstructs derivation trees.
+// TestTraceExplain: an evaluation recording provenance explains a
+// recursive tuple down to its EDB facts, which are leaves.
 func TestTraceExplain(t *testing.T) {
 	db, err := ParseDatabase(`
 		var $x in {0, 1}.
@@ -424,27 +415,20 @@ func TestTraceExplain(t *testing.T) {
 		reach(a, b) :- link(a, b).
 		reach(a, c) :- link(a, b), reach(b, c).
 	`)
-	res, err := Eval(prog, db, Options{Trace: true})
+	rec := prov.NewRecorder(0)
+	res, err := Eval(prog, db, Options{Prov: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Traced() {
-		t.Fatalf("trace not recorded")
+	x := prov.NewExplainer(rec, res.DB)
+	// reach(1, 3) is derived from link(1,2) and reach(2,3), which in
+	// turn comes from link(2,3).
+	target := x.Find("reach", "1|3")
+	if len(target) != 1 {
+		t.Fatalf("reach(1,3) matches: %d", len(target))
 	}
-	// Find reach(1, 3) and explain it: derived from link(1,2) and
-	// reach(2,3), which in turn comes from link(2,3).
-	var target ctable.Tuple
-	found := false
-	for _, tp := range res.DB.Table("reach").Tuples {
-		if tp.Values[0].Equal(cond.Int(1)) && tp.Values[1].Equal(cond.Int(3)) {
-			target, found = tp, true
-		}
-	}
-	if !found {
-		t.Fatalf("reach(1,3) missing")
-	}
-	e := res.Explain("reach", target)
-	if e == nil || e.Rule == "" {
+	e := x.Explain("reach", target[0])
+	if e.Rule == "" {
 		t.Fatalf("no explanation for reach(1,3): %v", e)
 	}
 	out := e.String()
@@ -453,18 +437,9 @@ func TestTraceExplain(t *testing.T) {
 			t.Errorf("explanation missing %q:\n%s", frag, out)
 		}
 	}
-	// EDB facts are leaves.
-	leaf := res.Explain("link", db.Table("link").Tuples[1])
-	if leaf == nil || leaf.Rule != "" || len(leaf.Children) != 0 {
+	leaf := x.Explain("link", db.Table("link").Tuples[1])
+	if !leaf.EDB || leaf.Rule != "" || len(leaf.Children) != 0 {
 		t.Errorf("EDB fact should be a leaf: %+v", leaf)
-	}
-	// Untraced runs return nil.
-	res2, err := Eval(prog, db, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Explain("reach", target) != nil || res2.Traced() {
-		t.Errorf("untraced run should not explain")
 	}
 }
 
@@ -478,16 +453,25 @@ func TestTraceNegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := MustParse(`q(x) :- r(x), not s(x).`)
-	res, err := Eval(prog, db, Options{Trace: true})
+	rec := prov.NewRecorder(0)
+	res, err := Eval(prog, db, Options{Prov: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := res.ExplainAll("q")
-	if len(exps) != 1 {
-		t.Fatalf("expected one explanation, got %d", len(exps))
+	trees := prov.NewExplainer(rec, res.DB).ExplainAll("q")
+	if len(trees) != 1 {
+		t.Fatalf("expected one explanation, got %d", len(trees))
 	}
-	out := exps[0].String()
-	if !strings.Contains(out, "not s(") {
+	var neg *prov.Tree
+	for _, c := range trees[0].Children {
+		if c.Negated && c.Pred == "s" {
+			neg = c
+		}
+	}
+	if neg == nil || len(neg.Children) != 0 {
+		t.Fatalf("negated source is not a leaf:\n%s", trees[0])
+	}
+	if out := trees[0].String(); !strings.Contains(out, "not s(B)") {
 		t.Errorf("negated source missing:\n%s", out)
 	}
 }

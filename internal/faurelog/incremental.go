@@ -185,30 +185,7 @@ seedLoop:
 	if runErr == nil && faultinject.Armed() {
 		runErr = faultinject.Fire(faultinject.FaurelogIncrementCommit)
 	}
-	if runErr == nil && e.opts.NoEagerPrune {
-		var sp obs.Span
-		if e.obsOn {
-			sp = evalSpan.StartChild("final-prune")
-		}
-		runErr = e.finalPrune()
-		if e.obsOn {
-			sp.End()
-		}
-	}
-	// As in run(): wall clock and total solver time are both read once,
-	// after every phase, so the split cannot misattribute late solver
-	// work (the deferred prune) to the relational column; parallel runs
-	// clamp at zero because summed per-worker solver time can exceed
-	// the wall clock.
-	e.stats.SQLTime = max(0, time.Since(start)-e.stats.SolverTime)
-	e.captureInternStats()
-	e.captureStoreStats()
-	e.captureProvStats()
-	if e.obsOn {
-		e.reportTotals(evalSpan)
-		evalSpan.End()
-	}
-	if runErr != nil {
+	if runErr = e.finish(start, evalSpan, runErr); runErr != nil {
 		// Budget exhaustion degrades to a truncated partial result,
 		// exactly as in scratch evaluation.
 		if ex := asExceeded(runErr); ex != nil {

@@ -344,3 +344,40 @@ func TestIncrementCommitFaultDegrades(t *testing.T) {
 		t.Fatalf("increment after disarm: %v", err)
 	}
 }
+
+// TestIncrementalSolverStats: every satisfiability decision is answered
+// by exactly one of the exact-key cache, a related certificate, the
+// finite-domain fast path or search, so the four decision counters sum
+// to SatCalls — for EvalIncrement as for Eval, at 1 and 8 workers.
+func TestIncrementalSolverStats(t *testing.T) {
+	db, err := ParseDatabase(`
+		var $a in {0, 1}. var $b in {0, 1}. var $c in {0, 1}.
+		link(1, 2)[$a = 1].
+		link(2, 3)[$b = 1].
+		link(3, 4)[$c = 1].
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceq := func(v string, n int64) *cond.Formula { return cond.Compare(cond.CVar(v), cond.Eq, cond.Int(n)) }
+	added := map[string][]ctable.Tuple{"link": {linkTuple(4, 1, ceq("a", 0))}}
+	check := func(what string, s Stats) {
+		t.Helper()
+		decided := s.SolverCacheHits + s.SolverCertHits + s.SolverFastPathHits + s.SolverSearches
+		if s.SatCalls == 0 || decided != s.SatCalls {
+			t.Errorf("%s: %d decisions for %d sat calls: %+v", what, decided, s.SatCalls, s)
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		full, err := Eval(reachProg(), db, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Eval workers=%d", workers), full.Stats)
+		inc, err := EvalIncrement(reachProg(), full.DB, added, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("EvalIncrement workers=%d", workers), inc.Stats)
+	}
+}

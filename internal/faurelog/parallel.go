@@ -63,8 +63,8 @@ type candidate struct {
 // merge.
 type unitResult struct {
 	cands       []candidate
-	falsePruned int
-	satCalls    int
+	falsePruned int64
+	satCalls    int64
 	solverTime  time.Duration
 	err         error
 }

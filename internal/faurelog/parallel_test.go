@@ -11,6 +11,7 @@ import (
 	"faure/internal/cond"
 	"faure/internal/ctable"
 	"faure/internal/faultinject"
+	"faure/internal/prov"
 	"faure/internal/solver"
 )
 
@@ -102,7 +103,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			{NoEagerPrune: true},
 			{NoAbsorb: true},
 			{NoSolverCache: true},
-			{Trace: true},
+			{Prov: prov.NewRecorder(0)},
 		} {
 			db := small
 			if base == (Options{}) {
@@ -132,44 +133,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestParallelTraceMatches: the derivation provenance recorded under
-// Trace is the first derivation in emission order, so parallel trace
-// output must match sequential exactly.
-func TestParallelTraceMatches(t *testing.T) {
-	db := condGraph(t, 24)
-	prog := MustParse(parallelPrograms["recursive"])
-	seq, err := Eval(prog, db, Options{Trace: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Eval(prog, db, Options{Trace: true, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := seq.DB.Table("reach")
-	if tbl == nil || tbl.Len() == 0 {
-		t.Fatal("no reach tuples")
-	}
-	checked := 0
-	for _, tp := range tbl.Tuples {
-		se := seq.Explain("reach", tp)
-		pe := par.Explain("reach", tp)
-		if (se == nil) != (pe == nil) {
-			t.Fatalf("Explain availability diverges for %s: seq=%v par=%v", tp.Key(), se, pe)
-		}
-		if se == nil {
-			continue
-		}
-		if se.String() != pe.String() {
-			t.Fatalf("derivation for %s diverges:\nseq: %s\npar: %s", tp.Key(), se, pe)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no derivations compared")
 	}
 }
 

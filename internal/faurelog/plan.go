@@ -14,7 +14,7 @@ package faurelog
 // literal benefits from the variables it binds.
 //
 // Determinism argument. The evaluation's observable output — table
-// contents, conditions, row order, Explain traces — depends on the
+// contents, conditions, row order, provenance — depends on the
 // ORDER emissions reach the commit path: dedup keeps the first
 // occurrence, absorption compares each condition against the ones
 // committed before it, and row order is insertion order. The planner

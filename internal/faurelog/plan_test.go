@@ -1,12 +1,11 @@
 package faurelog
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"faure/internal/cond"
 	"faure/internal/ctable"
+	"faure/internal/prov"
 )
 
 // planFixture parses a program and database and returns an engine whose
@@ -270,8 +269,9 @@ func TestPlanStats(t *testing.T) {
 	}
 }
 
-// Explain traces must be identical too: the replay rebuilds sources in
-// written order.
+// Provenance must be identical too: the replay rebuilds sources in
+// written order, so every q tuple's recorded rule and parents match
+// with the planner on and off.
 func TestPlannedParityTrace(t *testing.T) {
 	progSrc := `q(x, y) :- node(x), link(x, y), not bad(y).`
 	dbSrc := `
@@ -288,32 +288,21 @@ func TestPlannedParityTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseDatabase: %v", err)
 	}
-	run := func(noPlan bool) map[string]string {
-		res, err := Eval(prog, db, Options{NoPlan: noPlan, Trace: true})
+	run := func(noPlan bool) string {
+		rec := prov.NewRecorder(0)
+		res, err := Eval(prog, db, Options{NoPlan: noPlan, Prov: rec})
 		if err != nil {
 			t.Fatalf("Eval: %v", err)
 		}
-		out := map[string]string{}
+		x := prov.NewExplainer(rec, res.DB)
 		for _, tp := range res.DB.Tables["q"].Tuples {
-			d := res.Explain("q", tp)
-			if d == nil || d.Rule == "" {
+			if x.Explain("q", tp).Rule == "" {
 				t.Fatalf("no derivation for %v", tp)
 			}
-			var srcs []string
-			for _, c := range d.Children {
-				srcs = append(srcs, fmt.Sprintf("%s %s neg=%v", c.Pred, c.Tuple.Key(), c.Negated))
-			}
-			out[tp.Key()] = d.Rule + " | " + strings.Join(srcs, " ; ")
 		}
-		return out
+		return x.Dump()
 	}
-	a, b := run(true), run(false)
-	if len(a) != len(b) {
-		t.Fatalf("trace count differs: %d vs %d", len(a), len(b))
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Errorf("trace for %s differs:\n no-plan: %s\n planned: %s", k, v, b[k])
-		}
+	if a, b := run(true), run(false); a != b {
+		t.Errorf("provenance differs:\n no-plan:\n%s\n planned:\n%s", a, b)
 	}
 }

@@ -34,8 +34,8 @@ type Tree struct {
 	Children  []*Tree `json:"children,omitempty"`
 }
 
-// String renders the tree with two-space indentation, in the same
-// layout as the trace-based faurelog.Explanation.
+// String renders the tree with two-space indentation: one line per
+// node, derived nodes followed by their rule and stratum/round.
 func (t *Tree) String() string {
 	var b strings.Builder
 	t.render(&b, 0)

@@ -11,12 +11,15 @@
 // the canonical dump therefore excludes it (see Explainer.Dump).
 //
 // Memory is bounded on demand: capacity 0 keeps every edge (memory
-// proportional to the number of derived tuples, like Options.Trace);
-// capacity N > 0 runs as a flight recorder, a ring that overwrites the
-// oldest edge once N are held. Storage is compact either way: interned
-// predicate and rule-text tables, fixed-size edge records, and one
-// shared parent arena addressed by offset/length instead of per-edge
-// slices.
+// proportional to the number of derived tuples); capacity N > 0 runs
+// as a flight recorder, a ring that overwrites the oldest edge once N
+// are held. Storage is compact either way: interned predicate and
+// rule-text tables, fixed-size edge records, and one shared parent
+// arena addressed by offset/length instead of per-edge slices.
+//
+// The recorder is the engine's only provenance input: faure explain,
+// faure eval -explain/-trace and the verifier's violation derivations
+// all read it through an Explainer.
 package prov
 
 import (

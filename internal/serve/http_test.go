@@ -423,7 +423,6 @@ func TestHTTPPanicBoundary(t *testing.T) {
 	}
 }
 
-
 // TestHTTPInternMetrics: /metrics refreshes the process-wide condition
 // intern-table gauges at scrape time, so a resident service exposes
 // them without ever reaching the batch commands' exit-time snapshot.

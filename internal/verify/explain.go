@@ -19,6 +19,7 @@ import (
 	"faure/internal/ctable"
 	"faure/internal/faurelog"
 	"faure/internal/guard"
+	"faure/internal/obs"
 	"faure/internal/prov"
 	"faure/internal/rewrite"
 	"faure/internal/solver"
@@ -140,51 +141,76 @@ func (v *Verifier) ExplainLadder(target containment.Constraint, known []containm
 
 // explainState evaluates the target on the known state with provenance
 // recording, collects the violation condition from the satisfiable
-// panic tuples, and attaches their derivation trees.
+// panic tuples, and attaches their derivation trees. A budget trip
+// marks the explanation exhausted and keeps what was decided before it.
 func (v *Verifier) explainState(x *ReportExplanation, target containment.Constraint, state *ctable.Database, focus **cond.Formula) error {
+	found, err := v.violations(target, state, v.Obs, maxDerivations)
+	if err != nil {
+		if _, ok := budget.As(err); !ok {
+			return err
+		}
+		x.BudgetExhausted = true
+	}
+	x.Derivations = found.trees
+	x.SatCalls += int64(found.solver.SatCalls)
+	x.CacheHits += int64(found.solver.CacheHits)
+	if !found.cond.IsFalse() {
+		*focus = found.cond
+	}
+	return nil
+}
+
+// violationSet is what violations found on one state.
+type violationSet struct {
+	// trees are the derivation trees of the satisfiable panic tuples.
+	trees []*prov.Tree
+	// cond is the disjunction of their conditions: the condition under
+	// which the target is violated.
+	cond *cond.Formula
+	// solver accounts the satisfiability checks that picked them.
+	solver solver.Stats
+}
+
+// violations evaluates the target on a state with provenance recording
+// and explains every satisfiable panic tuple, keeping at most limit
+// trees (limit <= 0 keeps all); o observes the evaluation. A budget
+// trip, of the evaluation or of the solver, is returned as a
+// *budget.Exceeded error together with what was found before it.
+func (v *Verifier) violations(target containment.Constraint, state *ctable.Database, o obs.Observer, limit int) (violationSet, error) {
+	found := violationSet{cond: cond.False()}
 	rec := prov.NewRecorder(0)
 	res, err := faurelog.Eval(target.Program, state, faurelog.Options{
-		Prov: rec, Observer: v.Obs, Budget: v.Budget, Workers: v.Workers, NoPlan: v.NoPlan,
+		Prov: rec, Observer: o, Budget: v.Budget, Workers: v.Workers, NoPlan: v.NoPlan,
 	})
 	if err != nil {
-		return err
+		return found, err
 	}
 	if res.Truncated != nil {
-		x.BudgetExhausted = true
-		return nil
+		return found, res.Truncated
 	}
 	tbl := res.DB.Table(containment.PanicPred)
 	if tbl == nil {
-		return nil
+		return found, nil
 	}
 	s := solver.New(state.Doms)
 	s.SetBudget(v.Budget)
 	xp := prov.NewExplainer(rec, res.DB)
-	violation := cond.False()
 	for _, tp := range tbl.Tuples {
 		sat, err := s.Satisfiable(tp.Condition())
 		if err != nil {
-			if _, ok := budget.As(err); ok {
-				x.BudgetExhausted = true
-				break
-			}
-			return err
+			found.solver = s.Stats()
+			return found, err
 		}
 		if !sat {
 			continue
 		}
-		violation = cond.Or(violation, tp.Condition())
-		if len(x.Derivations) < maxDerivations {
-			x.Derivations = append(x.Derivations, xp.Explain(containment.PanicPred, tp))
+		found.cond = cond.Or(found.cond, tp.Condition())
+		if limit <= 0 || len(found.trees) < limit {
+			found.trees = append(found.trees, xp.Explain(containment.PanicPred, tp))
 		}
 	}
-	st := s.Stats()
-	x.SatCalls += int64(st.SatCalls)
-	x.CacheHits += int64(st.CacheHits)
-	if !violation.IsFalse() {
-		*focus = violation
-	}
-	return nil
+	found.solver = s.Stats()
+	return found, nil
 }
 
 // findFlips probes single-variable resolutions of the violation

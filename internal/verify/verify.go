@@ -26,6 +26,7 @@ import (
 	"faure/internal/faurelog"
 	"faure/internal/guard"
 	"faure/internal/obs"
+	"faure/internal/prov"
 	"faure/internal/rewrite"
 	"faure/internal/solver"
 )
@@ -380,38 +381,18 @@ func names(cs []containment.Constraint) string {
 	return strings.Join(out, ", ")
 }
 
-// ExplainViolations evaluates the constraint with derivation tracing
-// and returns the explanation tree of every satisfiable panic
-// derivation — why the constraint is (conditionally) violated on this
-// state. An empty slice means the constraint holds.
-func (v *Verifier) ExplainViolations(target containment.Constraint, db *ctable.Database) (out []*faurelog.Explanation, err error) {
+// ExplainViolations evaluates the constraint with provenance recording
+// and returns the derivation tree of every satisfiable panic tuple —
+// why the constraint is (conditionally) violated on this state. An
+// empty slice means the constraint holds; a budget trip is returned as
+// the error.
+func (v *Verifier) ExplainViolations(target containment.Constraint, db *ctable.Database) (out []*prov.Tree, err error) {
 	defer guard.Recover("verify.ExplainViolations", &err)
-	res, err := faurelog.Eval(target.Program, db, faurelog.Options{Trace: true, Budget: v.Budget, Workers: v.Workers, NoPlan: v.NoPlan})
+	found, err := v.violations(target, db, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	if res.Truncated != nil {
-		return nil, res.Truncated
-	}
-	tbl := res.DB.Table(containment.PanicPred)
-	if tbl == nil {
-		return nil, nil
-	}
-	s := solver.New(db.Doms)
-	s.SetBudget(v.Budget)
-	for _, tp := range tbl.Tuples {
-		sat, err := s.Satisfiable(tp.Condition())
-		if err != nil {
-			return nil, err
-		}
-		if !sat {
-			continue
-		}
-		if e := res.Explain(containment.PanicPred, tp); e != nil {
-			out = append(out, e)
-		}
-	}
-	return out, nil
+	return found.trees, nil
 }
 
 // flattenIfNeeded inlines a target's intermediate predicates so the

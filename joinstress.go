@@ -57,7 +57,7 @@ func RunJoinStress(cfg JoinStressConfig) (result *JoinStressResult, err error) {
 	}
 	return &JoinStressResult{
 		Hosts:     pods * fanout * fanout,
-		Row:       rowFromStats("join", res.Stats, tuples),
+		Row:       Table4Row{Query: "join", Tuples: tuples, Stats: res.Stats},
 		Truncated: res.Truncated,
 	}, nil
 }

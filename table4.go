@@ -50,106 +50,20 @@ func (c Table4Config) withDefaults() Table4Config {
 	return c
 }
 
-// Table4Row is one query's measurements. SQL, Solver and Tuples match
+// Table4Row is one query's measurements: the evaluation's full Stats
+// plus the tuples it produced. SQLTime, SolverTime and Tuples match
 // the paper's columns (relational time, condition-solving time, tuples
-// produced); the remaining fields carry the evaluation's full Stats so
-// the bench harness can emit machine-readable reports.
+// produced); the other counters let the bench harness emit
+// machine-readable reports.
 type Table4Row struct {
-	Query      string
-	SQL        time.Duration
-	Solver     time.Duration
-	Wall       time.Duration // SQL + Solver
-	Tuples     int
-	Iterations int
-	Derived    int
-	Pruned     int
-	Absorbed   int
-	// AbsorbProbes counts the absorption checks that needed a semantic
-	// solver probe (the syntactic conjunct fast path answers the rest).
-	AbsorbProbes int
-	SatCalls     int
-	// Incremental-solver counters: decisions answered by an exact-key
-	// cached certificate, by a related certificate (base-witness replay
-	// or DAG propagation), by the compiled finite-domain fast path, the
-	// decisions that reached actual search, and certificate-store
-	// evictions. SatCallsPerDerived = SolverSearches / Derived is the
-	// headline metric — well below 1 means certificates, not search,
-	// carried the run.
-	SolverCacheHits    int
-	SolverCertHits     int
-	SolverFastPathHits int
-	SolverSearches     int
-	MemoEvictions      int64
-	SatCallsPerDerived float64
-	// Intern counters snapshot the condition intern table: hit/miss
-	// deltas attributed to this query's evaluation plus the table's
-	// live-node count when it finished (process-wide, monotonic).
-	InternHits   int64
-	InternMisses int64
-	InternLive   int64
-	// Store access counters: indexed probes (single- and multi-column),
-	// deliberate full scans, degraded probes that fell back to a scan,
-	// and multi-column bucket intersections performed by the planner.
-	StoreProbes      int64
-	StoreMultiProbes int64
-	StoreScans       int64
-	StoreFallbacks   int64
-	Intersections    int64
-	// ProbeHitRatio is the fraction of store accesses answered by an
-	// index probe rather than a scan (1 when the store saw no traffic).
-	ProbeHitRatio float64
-	// PlansPlanned/PlansReordered count rule bodies the cost-guided
-	// planner considered and how many it actually reordered.
-	PlansPlanned   int64
-	PlansReordered int64
-	// Provenance counters (zero unless the run wired a ProvRecorder):
-	// edges and parent references recorded, and edges a bounded
-	// recorder's ring overwrote.
-	ProvEdges   int64
-	ProvParents int64
-	ProvEvicted int64
+	Query  string
+	Tuples int
+	faurelog.Stats
 }
 
-// rowFromStats builds a Table4Row from one evaluation's statistics.
-func rowFromStats(query string, s faurelog.Stats, tuples int) Table4Row {
-	return Table4Row{
-		Query:        query,
-		SQL:          s.SQLTime,
-		Solver:       s.SolverTime,
-		Wall:         s.SQLTime + s.SolverTime,
-		Tuples:       tuples,
-		Iterations:   s.Iterations,
-		Derived:      s.Derived,
-		Pruned:       s.Pruned,
-		Absorbed:     s.Absorbed,
-		AbsorbProbes: s.AbsorbProbes,
-		SatCalls:     s.SatCalls,
-
-		SolverCacheHits:    s.SolverCacheHits,
-		SolverCertHits:     s.SolverCertHits,
-		SolverFastPathHits: s.SolverFastPathHits,
-		SolverSearches:     s.SolverSearches,
-		MemoEvictions:      s.MemoEvictions,
-		SatCallsPerDerived: s.SatCallsPerDerived(),
-
-		InternHits:   s.InternHits,
-		InternMisses: s.InternMisses,
-		InternLive:   s.InternLive,
-
-		StoreProbes:      s.Probes,
-		StoreMultiProbes: s.MultiProbes,
-		StoreScans:       s.Scans,
-		StoreFallbacks:   s.FallbackScans,
-		Intersections:    s.Intersections,
-		ProbeHitRatio:    s.ProbeHitRatio(),
-		PlansPlanned:     s.PlansPlanned,
-		PlansReordered:   s.PlansReordered,
-
-		ProvEdges:   s.ProvEdges,
-		ProvParents: s.ProvParents,
-		ProvEvicted: s.ProvEvicted,
-	}
-}
+// Wall is the query's evaluation time: the relational plus the
+// condition-solving phase.
+func (r Table4Row) Wall() time.Duration { return r.SQLTime + r.SolverTime }
 
 // Table4Result is a full row group of Table 4 for one prefix count.
 type Table4Result struct {
@@ -194,7 +108,7 @@ func RunTable4(cfg Table4Config) (result *Table4Result, err error) {
 		if t := res.DB.Table(table); t != nil {
 			tuples = t.Len()
 		}
-		out.Rows = append(out.Rows, rowFromStats(name, res.Stats, tuples))
+		out.Rows = append(out.Rows, Table4Row{Query: name, Tuples: tuples, Stats: res.Stats})
 		if res.Truncated != nil {
 			out.Truncated = res.Truncated
 			return res, false, nil
@@ -247,7 +161,7 @@ func FormatTable4(results []*Table4Result) string {
 	for _, res := range results {
 		fmt.Fprintf(&b, "%-9d", res.Prefixes)
 		for _, row := range res.Rows {
-			fmt.Fprintf(&b, " | %9s %9s %8d", fmtDur(row.SQL), fmtDur(row.Solver), row.Tuples)
+			fmt.Fprintf(&b, " | %9s %9s %8d", fmtDur(row.SQLTime), fmtDur(row.SolverTime), row.Tuples)
 		}
 		b.WriteByte('\n')
 	}
