@@ -18,7 +18,7 @@ func benchAtoms(w int) []*Formula {
 }
 
 // BenchmarkAtomF measures re-interning a single atom: canonicalise,
-// hash, one shard probe. Before hash-consing this path built the atom's
+// hash (the node's and its shard's), one shard probe. Before hash-consing this path built the atom's
 // string key on every construction; now it allocates nothing on a hit.
 func BenchmarkAtomF(b *testing.B) {
 	a := NewAtom(CVar("bench_atom"), Lt, Int(7000))
@@ -31,8 +31,9 @@ func BenchmarkAtomF(b *testing.B) {
 }
 
 // BenchmarkAnd measures re-building an 8-conjunct formula from interned
-// children: flatten, sort by structure, one shard probe. The only
-// allocation is the scratch slice of children.
+// children: flatten into a stack buffer, sort by structure, drop
+// adjacent duplicates, load each atom's complement link, one shard
+// probe. A hit allocates nothing (TestConstructorHitAllocs pins it).
 func BenchmarkAnd(b *testing.B) {
 	atoms := benchAtoms(8)
 	And(atoms...)
@@ -44,7 +45,8 @@ func BenchmarkAnd(b *testing.B) {
 }
 
 // BenchmarkOrNested measures the flattening path: Or of two Or halves,
-// each pre-interned, collapsing into one canonical 8-way node.
+// each pre-interned, collapsing into one canonical 8-way node without
+// allocating.
 func BenchmarkOrNested(b *testing.B) {
 	atoms := benchAtoms(8)
 	l, r := Or(atoms[:4]...), Or(atoms[4:]...)

@@ -1,7 +1,11 @@
 package cond
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -202,6 +206,119 @@ func TestComplementDetection(t *testing.T) {
 	}
 	if f := Or(x1, notX1); !f.IsTrue() {
 		t.Errorf("x=1 || x!=1 should be true, got %v", f)
+	}
+
+	// The complement of late is interned only after formulas holding
+	// late exist; the link made then must still be found, also when the
+	// pair meets only after flattening.
+	late := Compare(CVar("cd_late"), Lt, Int(5))
+	other := Compare(CVar("cd_other"), Eq, Int(1))
+	conj, disj := And(late, other), Or(late, other)
+	notLate := Compare(CVar("cd_late"), Ge, Int(5))
+	if f := And(late, notLate); !f.IsFalse() {
+		t.Errorf("late complement: And = %v, want false", f)
+	}
+	if f := Or(notLate, late); !f.IsTrue() {
+		t.Errorf("late complement: Or = %v, want true", f)
+	}
+	if f := And(conj, notLate); !f.IsFalse() {
+		t.Errorf("late complement after flattening: And = %v, want false", f)
+	}
+	if f := Or(disj, notLate); !f.IsTrue() {
+		t.Errorf("late complement after flattening: Or = %v, want true", f)
+	}
+}
+
+// freshRuns makes the atoms of each run of a test distinct from those
+// of earlier runs in the process (go test -count), which are still
+// interned.
+var freshRuns atomic.Int64
+
+// TestComplementDetectionConcurrent: goroutines racing to intern the
+// two sides of fresh complementary atom pairs must never see an
+// unlinked pair. The goroutines take the pairs in lock step, so the
+// two sides of each pair are interned at the same moment. In the first
+// pass each goroutine only interns its side, and once all have, every
+// goroutine must fold a ∧ ¬a to false and a ∨ ¬a to true (this catches
+// two sides that both missed each other). In the second pass each
+// goroutine also folds a ∧ ¬a right after interning its side, while
+// the other side may be mid-intern (this catches a link made after the
+// new atom is published). CI runs it under -race.
+func TestComplementDetectionConcurrent(t *testing.T) {
+	const goroutines = 4
+	const pairs = 8192
+	for _, checkEarly := range []bool{false, true} {
+		prefix := "cdc" + strconv.FormatInt(freshRuns.Add(1), 10) + "_"
+		ops := []Op{Eq, Lt, Le}
+		atom := func(i int, neg bool) *Formula {
+			op := ops[i%len(ops)]
+			if neg {
+				op = op.Negate()
+			}
+			return Compare(CVar(prefix+strconv.Itoa(i)), op, Int(int64(i)))
+		}
+		// step[i] is the barrier every goroutine passes after pair i.
+		step := make([]sync.WaitGroup, pairs)
+		for i := range step {
+			step[i].Add(goroutines)
+		}
+		var done sync.WaitGroup
+		errs := make(chan string, 3*goroutines*pairs) // at most three per pair and goroutine
+		for g := 0; g < goroutines; g++ {
+			done.Add(1)
+			go func(g int) {
+				defer done.Done()
+				for i := 0; i < pairs; i++ {
+					atom(i, g%2 == 1) // half the goroutines take each side
+					if checkEarly {
+						if f := And(atom(i, false), atom(i, true)); !f.IsFalse() {
+							errs <- fmt.Sprintf("goroutine %d: And of pair %d while interning = %v, want false", g, i, f)
+						}
+					}
+					step[i].Done()
+					step[i].Wait()
+				}
+				for i := 0; i < pairs; i++ {
+					a, na := atom(i, false), atom(i, true)
+					if f := And(a, na); !f.IsFalse() {
+						errs <- fmt.Sprintf("goroutine %d: And(%v, %v) = %v, want false", g, a, na, f)
+					}
+					if f := Or(na, a); !f.IsTrue() {
+						errs <- fmt.Sprintf("goroutine %d: Or(%v, %v) = %v, want true", g, na, a, f)
+					}
+				}
+			}(g)
+		}
+		done.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
+}
+
+// TestConstructorHitAllocs pins the allocation-free hit path: building
+// a formula whose node is already interned allocates nothing.
+func TestConstructorHitAllocs(t *testing.T) {
+	atoms := benchAtoms(8)
+	l, r := Or(atoms[:4]...), Or(atoms[4:]...)
+	cases := []struct {
+		name string
+		f    func() *Formula
+	}{
+		{"And of 8 atoms", func() *Formula { return And(atoms...) }},
+		{"Or of two 4-way Ors", func() *Formula { return Or(l, r) }},
+		{"And of 2 atoms", func() *Formula { return And(atoms[0], atoms[1]) }},
+	}
+	for _, c := range cases {
+		want := c.f()
+		if n := testing.AllocsPerRun(100, func() {
+			if c.f() != want {
+				t.Fatalf("%s: rebuilt a different node", c.name)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per hit, want 0", c.name, n)
+		}
 	}
 }
 

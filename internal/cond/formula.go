@@ -1,6 +1,7 @@
 package cond
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -49,6 +50,9 @@ type Formula struct {
 	nAtoms int                    // atom occurrences, computed at intern time
 	cvars  []string               // sorted distinct free c-variables, computed at intern time
 	key    atomic.Pointer[string] // lazily built canonical key, for dumps/trace only
+	// neg links an atom to its complement once both are interned
+	// (see internNode); nil while the complement has not been built.
+	neg atomic.Pointer[Formula]
 }
 
 var (
@@ -142,64 +146,61 @@ func And(fs ...*Formula) *Formula { return combine(FAnd, fs) }
 // Or returns the canonicalised disjunction of fs, dually to And.
 func Or(fs ...*Formula) *Formula { return combine(FOr, fs) }
 
+// stackChildren sizes combine's stack buffer: a node of up to this many
+// flattened children is built without allocating on an intern hit.
+const stackChildren = 16
+
 func combine(kind FKind, fs []*Formula) *Formula {
 	identity, absorber := trueF, falseF
 	if kind == FOr {
 		identity, absorber = falseF, trueF
 	}
-	flat := make([]*Formula, 0, len(fs))
-	// Children are interned, so a pointer set dedups structurally.
-	seen := make(map[*Formula]bool, len(fs))
-	var add func(f *Formula) bool
-	add = func(f *Formula) bool {
+	var buf [stackChildren]*Formula
+	flat := buf[:0]
+	for _, f := range fs {
 		switch {
 		case f == nil || f.Kind == identity.Kind:
-			return true
 		case f.Kind == absorber.Kind:
-			return false
-		case f.Kind == kind:
-			for _, s := range f.Sub {
-				if !add(s) {
-					return false
-				}
-			}
-			return true
-		}
-		if seen[f] {
-			return true
-		}
-		seen[f] = true
-		flat = append(flat, f)
-		return true
-	}
-	for _, f := range fs {
-		if !add(f) {
 			return absorber
+		case f.Kind == kind:
+			// A canonical node's children are already flat and neither
+			// True nor False.
+			flat = append(flat, f.Sub...)
+		default:
+			flat = append(flat, f)
 		}
 	}
+	// Canonical child order is purely structural (compareNode): it must
+	// not involve intern ids, whose assignment order is racy under the
+	// parallel engine, or determinism across worker counts would break.
+	// Children are interned and compareNode is 0 only for the same
+	// pointer, so duplicates end up adjacent and Compact drops them.
+	slices.SortFunc(flat, compareNode)
+	flat = slices.Compact(flat)
 	switch len(flat) {
 	case 0:
 		return identity
 	case 1:
 		return flat[0]
 	}
-	// Canonical child order is purely structural (compareNode): it must
-	// not involve intern ids, whose assignment order is racy under the
-	// parallel engine, or determinism across worker counts would break.
-	sort.Slice(flat, func(i, j int) bool { return compareNode(flat[i], flat[j]) < 0 })
-	// Detect directly complementary atom pairs: a ∧ ¬a = false,
-	// a ∨ ¬a = true. Only syntactic complements are caught here; the
-	// solver handles the general case.
+	// Detect directly complementary pairs: a ∧ ¬a = false, a ∨ ¬a =
+	// true. An atom's complement is one pointer load (the two are linked
+	// when the second is interned); only syntactic complements are
+	// caught here, the solver handles the general case.
 	n := 0
 	for _, f := range flat {
 		n += f.nAtoms
-		if f.Kind == FAtom {
-			if neg := lookupAtom(f.Atom.Negate().canonical()); neg != nil && seen[neg] {
+		var comp *Formula
+		switch f.Kind {
+		case FAtom:
+			comp = f.neg.Load()
+		case FNot:
+			comp = f.Sub[0]
+		}
+		if comp != nil {
+			if _, found := slices.BinarySearchFunc(flat, comp, compareNode); found {
 				return absorber
 			}
-		}
-		if f.Kind == FNot && seen[f.Sub[0]] {
-			return absorber
 		}
 	}
 	return internNode(kind, Atom{}, flat, n)

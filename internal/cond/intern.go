@@ -12,6 +12,8 @@ package cond
 // shard, shard selected by the node's structural hash — so the
 // parallel engine's workers can build formulas concurrently. A lookup
 // holds exactly one shard lock and performs no allocation on a hit.
+// An atom and its complement share a shard (hashNode), so a new atom
+// is linked to its complement under that same lock.
 // Interned nodes are immutable (the lazy Key cache is an atomic
 // pointer whose racing stores write identical strings), so formulas
 // may be read from any number of goroutines without synchronisation.
@@ -63,7 +65,8 @@ var interned = func() *internTable {
 // outside the table (the constructors return them directly and no
 // canonical node ever has an FTrue/FFalse child).
 func newSingleton(kind FKind, key string) *Formula {
-	f := &Formula{Kind: kind, hash: hashNode(kind, Atom{}, nil)}
+	h, _ := hashNode(kind, Atom{}, nil)
+	f := &Formula{Kind: kind, hash: h}
 	f.id = interned.nextID.Add(1)
 	f.key.Store(&key)
 	return f
@@ -102,27 +105,36 @@ func hashTerm(h uint64, t Term) uint64 {
 	return fnvString(h, t.S)
 }
 
-func hashAtom(h uint64, a Atom) uint64 {
+// hashAtomPair hashes an atom up to complement: its operator enters as
+// the complementary pair it belongs to (= and !=, < and >=, <= and >),
+// so an atom and its complement hash alike.
+func hashAtomPair(h uint64, a Atom) uint64 {
 	h = fnvUint64(h, uint64(len(a.Sum)))
 	for _, t := range a.Sum {
 		h = hashTerm(h, t)
 	}
-	h = fnvByte(h, byte(a.Op))
+	h = fnvByte(h, byte(min(a.Op, a.Op.Negate())))
 	return hashTerm(h, a.RHS)
 }
 
-// hashNode depends only on the node's structure — child hashes, never
-// child ids — so it is identical across runs and worker counts.
-func hashNode(kind FKind, a Atom, sub []*Formula) uint64 {
-	h := fnvByte(fnvOffset64, byte(kind))
+// hashNode returns the node's structural hash h and the hash its shard
+// is selected by. It depends only on the node's structure — child
+// hashes, never child ids — so it is identical across runs and worker
+// counts. The two are equal except for an atom: its shard hash is
+// hashAtomPair, and h adds the atom's own operator to it, so an atom
+// and its complement share a shard and one's h follows from the
+// other's shard hash.
+func hashNode(kind FKind, a Atom, sub []*Formula) (h, shard uint64) {
+	h = fnvByte(fnvOffset64, byte(kind))
 	if kind == FAtom {
-		return hashAtom(h, a)
+		shard = hashAtomPair(h, a)
+		return fnvByte(shard, byte(a.Op)), shard
 	}
 	h = fnvUint64(h, uint64(len(sub)))
 	for _, s := range sub {
 		h = fnvUint64(h, s.hash)
 	}
-	return h
+	return h, h
 }
 
 // shallowEqual decides whether an interned node g is the node the
@@ -143,44 +155,48 @@ func shallowEqual(g *Formula, kind FKind, a Atom, sub []*Formula) bool {
 	return true
 }
 
-// internNode returns the canonical node for (kind, a, sub), creating
-// and registering it on first sight. On a miss the sub slice is
-// retained; callers pass freshly built slices.
-func internNode(kind FKind, a Atom, sub []*Formula, nAtoms int) *Formula {
-	h := hashNode(kind, a, sub)
-	sh := &interned.shards[h&(internShardCount-1)]
-	sh.mu.Lock()
+// find returns the node of the shard's hash chain h that is the node
+// (kind, a, sub), or nil. The caller holds the shard's lock.
+func (sh *internShard) find(h uint64, kind FKind, a Atom, sub []*Formula) *Formula {
 	for _, g := range sh.m[h] {
 		if shallowEqual(g, kind, a, sub) {
-			sh.mu.Unlock()
-			interned.hits.Add(1)
 			return g
 		}
 	}
-	f := &Formula{Kind: kind, Atom: a, Sub: sub, hash: h, nAtoms: nAtoms, cvars: freeVars(kind, a, sub)}
+	return nil
+}
+
+// internNode returns the canonical node for (kind, a, sub), creating
+// and registering it on first sight. sub is only read: a miss stores a
+// copy, so callers may pass a scratch buffer and a hit allocates
+// nothing. A new atom is linked to its complement, if that is interned,
+// under the shard lock both share: whoever interns the second of the
+// pair links them before releasing it, so no goroutine can obtain both
+// nodes unlinked, which is what lets combine detect a ∧ ¬a with one
+// pointer load.
+func internNode(kind FKind, a Atom, sub []*Formula, nAtoms int) *Formula {
+	h, shard := hashNode(kind, a, sub)
+	sh := &interned.shards[shard&(internShardCount-1)]
+	sh.mu.Lock()
+	if g := sh.find(h, kind, a, sub); g != nil {
+		sh.mu.Unlock()
+		interned.hits.Add(1)
+		return g
+	}
+	f := &Formula{Kind: kind, Atom: a, Sub: append([]*Formula(nil), sub...), hash: h, nAtoms: nAtoms, cvars: freeVars(kind, a, sub)}
 	f.id = interned.nextID.Add(1)
+	if kind == FAtom {
+		neg := a.Negate()
+		if c := sh.find(fnvByte(shard, byte(neg.Op)), FAtom, neg, nil); c != nil {
+			f.neg.Store(c)
+			c.neg.Store(f)
+		}
+	}
 	sh.m[h] = append(sh.m[h], f)
 	sh.mu.Unlock()
 	interned.misses.Add(1)
 	interned.live.Add(1)
 	return f
-}
-
-// lookupAtom probes for the interned node of a canonical atom without
-// creating it (combine's complement detection must not populate the
-// table with negations nobody built). Probes count as neither hits nor
-// misses.
-func lookupAtom(a Atom) *Formula {
-	h := hashNode(FAtom, a, nil)
-	sh := &interned.shards[h&(internShardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, g := range sh.m[h] {
-		if g.Kind == FAtom && g.Atom.Equal(a) {
-			return g
-		}
-	}
-	return nil
 }
 
 // freeVars merges the sorted, duplicate-free c-variable names of a

@@ -235,6 +235,10 @@ type compiledRule struct {
 	// delta (nil for negated literals); plans[0] is the full
 	// application.
 	plans []*rulePlan
+
+	// groups is the head relation's group table, shared with every
+	// other rule deriving into it (see newEngine).
+	groups groupTable
 }
 
 // plan returns the rule compiled for the given delta position (-1 for

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -131,7 +132,10 @@ func (r *Result) Table(name string) *ctable.Table { return r.DB.Table(name) }
 // Eval computes the program's fixpoint over the c-table database and
 // returns the database extended with every derived relation. The input
 // database is not modified. Derived relations shadow same-named input
-// relations in the result.
+// relations in the result. Such an input relation's rows appear once
+// in the result, ahead of the derivations, and take part in dedup and
+// absorption like committed derivations, so evaluating a program over
+// its own result derives nothing.
 func Eval(prog *Program, db *ctable.Database, opts Options) (*Result, error) {
 	e, err := newEngine(prog, db, opts)
 	if err != nil {
@@ -195,13 +199,6 @@ type engine struct {
 	// reaches the result through db.Clone.
 	store *relstore.Store
 	sol   *solver.Solver
-	// seen dedups tuples per predicate by identity: a 128-bit hash of
-	// the data part plus the interned condition id — no key strings are
-	// ever built (collision odds at 10^7 tuples are ~10^-25). conds
-	// lists the conditions derived per data part (by data hash), for
-	// absorption.
-	seen  map[string]map[ctable.TupleID]struct{}
-	conds map[string]map[[2]uint64][]*cond.Formula
 	// pending buffers the tuples committed during the current round;
 	// they reach the relation store only at the round barrier, so every
 	// join in a round — sequential or on a worker — reads the store as
@@ -264,8 +261,6 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 		opts:  opts,
 		store: relstore.NewStore(),
 		sol:   solver.New(db.Doms),
-		seen:  map[string]map[ctable.TupleID]struct{}{},
-		conds: map[string]map[[2]uint64][]*cond.Formula{},
 		arity: map[string]int{},
 		o:     obs.OrNop(opts.Observer),
 		obsOn: opts.Observer != nil && opts.Observer.Enabled(),
@@ -325,6 +320,19 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 	}
 	for name, t := range db.Tables {
 		e.noteArity(name, t.Schema.Arity())
+	}
+	// One group table per derived relation, shared by the rules that
+	// derive it and seeded with the relation's input rows, so an input
+	// row appears once in the result and takes part in dedup and
+	// absorption like a committed derivation.
+	groups := map[string]groupTable{}
+	for _, cr := range e.rules {
+		t, ok := groups[cr.pred]
+		if !ok {
+			t = seedGroups(e.store.Rel(cr.pred))
+			groups[cr.pred] = t
+		}
+		cr.groups = t
 	}
 	return e, nil
 }
@@ -985,49 +993,19 @@ func (e *engine) prepareEmit(p *rulePlan, slots []cond.Term, conds []*cond.Formu
 // bit-identical tables. satKnown carries a worker's speculative
 // satisfiability verdict so the merge does not repeat the solver call.
 func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable.Tuple)) error {
-	seen := e.seen[p.pred]
-	if seen == nil {
-		seen = map[ctable.TupleID]struct{}{}
-		e.seen[p.pred] = seen
-	}
-	if _, dup := seen[p.key]; dup {
+	groups := p.rule.groups
+	g := groups[p.dataKey]
+	if slices.Contains(g.conds, p.cond) {
 		return nil
 	}
-	seen[p.key] = struct{}{}
-
-	if !e.opts.NoEagerPrune {
-		if !satKnown {
-			var err error
-			sat, err = e.timedSatFrom(p.cond, p.base)
-			if err != nil {
-				return err
-			}
-		}
-		if !sat {
-			e.stats.Pruned++
-			return nil
-		}
+	// The condition joins the group before the sat check, so a pruned
+	// or absorbed repeat is a duplicate too and costs no second check.
+	g.conds = append(g.conds, p.cond)
+	ok, err := e.admit(&g, p.base, satKnown, sat)
+	groups[p.dataKey] = g
+	if err != nil || !ok {
+		return err
 	}
-
-	if !e.opts.NoAbsorb {
-		byData := e.conds[p.pred]
-		if byData == nil {
-			byData = map[[2]uint64][]*cond.Formula{}
-			e.conds[p.pred] = byData
-		}
-		if existing := byData[p.dataKey]; len(existing) > 0 {
-			implied, err := e.absorbed(p.cond, existing)
-			if err != nil {
-				return err
-			}
-			if implied {
-				e.stats.Absorbed++
-				return nil
-			}
-		}
-		byData[p.dataKey] = append(byData[p.dataKey], p.cond)
-	}
-
 	if err := e.bud.AddTuples(1, p.rule.relWhere); err != nil {
 		return err
 	}
@@ -1038,6 +1016,91 @@ func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable
 	}
 	sink(p.pred, p.tp)
 	return nil
+}
+
+// admit runs the eager prune and absorption for a new condition, the
+// last entry of its group g, with base its solver hint. It reports
+// whether the tuple is to be committed and, if so, moves the condition
+// into g's committed prefix.
+func (e *engine) admit(g *condGroup, base *cond.Formula, satKnown, sat bool) (bool, error) {
+	c := g.conds[len(g.conds)-1]
+	if !e.opts.NoEagerPrune {
+		if !satKnown {
+			var err error
+			sat, err = e.timedSatFrom(c, base)
+			if err != nil {
+				return false, err
+			}
+		}
+		if !sat {
+			e.stats.Pruned++
+			return false, nil
+		}
+	}
+	if !e.opts.NoAbsorb && g.committed > 0 {
+		implied, err := e.absorbed(c, g.conds[:g.committed])
+		if err != nil {
+			return false, err
+		}
+		if implied {
+			e.stats.Absorbed++
+			return false, nil
+		}
+	}
+	g.commitLast()
+	return true, nil
+}
+
+// condGroup is every condition seen for one data part of a derived
+// relation: the committed ones first (conds[:committed], the operands
+// of absorption), then those pruned or absorbed, kept so a repeat is
+// dropped as a duplicate before it reaches the solver.
+type condGroup struct {
+	conds     []*cond.Formula
+	committed int
+}
+
+// commitLast moves the group's last condition into the committed
+// prefix.
+func (g *condGroup) commitLast() {
+	last := len(g.conds) - 1
+	g.conds[g.committed], g.conds[last] = g.conds[last], g.conds[g.committed]
+	g.committed++
+}
+
+// groupTable is a derived relation's dedup and absorption state: its
+// condition groups keyed by the 128-bit data-part hash (collision odds
+// at 10^7 tuples are ~10^-25), so no key string is ever built. The
+// rules deriving the relation share one table; the serial commit is
+// its only writer, and parallel workers read it only while it is
+// frozen.
+type groupTable map[[2]uint64]condGroup
+
+// seedGroups builds a group table holding rel's rows as committed
+// conditions (an empty table for a nil rel).
+func seedGroups(rel *relstore.Relation) groupTable {
+	t := groupTable{}
+	if rel == nil {
+		return t
+	}
+	for i := 0; i < rel.Len(); i++ {
+		t.seed(rel.Tuple(i))
+	}
+	return t
+}
+
+// seed records tp's condition as committed for its data part. It
+// reports false when the group already holds it.
+func (t groupTable) seed(tp ctable.Tuple) bool {
+	d, c := tp.DataHash(), tp.Condition()
+	g := t[d]
+	if slices.Contains(g.conds, c) {
+		return false
+	}
+	g.conds = append(g.conds, c)
+	g.commitLast()
+	t[d] = g
+	return true
 }
 
 // Source is one body fact a derivation consumed: a positive match or a
@@ -1073,19 +1136,13 @@ func (e *engine) recordProv(p *prepared) {
 // (condition = g ∧ rest ⇒ g ⇒ the disjunction); only the residual
 // semantic probe pays a solver Implies, counted in AbsorbProbes.
 func (e *engine) absorbed(condition *cond.Formula, existing []*cond.Formula) (bool, error) {
-	var conj map[*cond.Formula]bool
+	// A non-conjunction's only conjunct is itself.
+	var conj []*cond.Formula
+	if condition.Kind == cond.FAnd {
+		conj = condition.Sub
+	}
 	for _, g := range existing {
-		if g.IsTrue() || g == condition {
-			return true, nil
-		}
-		if conj == nil {
-			cs := condition.Conjuncts()
-			conj = make(map[*cond.Formula]bool, len(cs))
-			for _, c := range cs {
-				conj[c] = true
-			}
-		}
-		if conj[g] {
+		if g.IsTrue() || g == condition || slices.Contains(conj, g) {
 			return true, nil
 		}
 	}

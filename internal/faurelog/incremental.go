@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"faure/internal/cond"
 	"faure/internal/ctable"
 	"faure/internal/faultinject"
 	"faure/internal/obs"
@@ -62,29 +61,6 @@ func EvalIncrement(prog *Program, prev *ctable.Database, added map[string][]ctab
 	for pred := range added {
 		e.load(pred)
 	}
-	// Seed the dedup and absorption state with everything already
-	// present, so re-derivations of existing tuples are no-ops. Only
-	// derived heads and the relations facts are added to ever receive
-	// tuples, so only they need it.
-	for name, tbl := range prev.Tables {
-		if _, adds := added[name]; !idb[name] && !adds {
-			continue
-		}
-		seen := map[ctable.TupleID]struct{}{}
-		for _, tp := range tbl.Tuples {
-			seen[tp.Identity()] = struct{}{}
-		}
-		e.seen[name] = seen
-		if !opts.NoAbsorb && idb[name] {
-			byData := map[[2]uint64][]*cond.Formula{}
-			for _, tp := range tbl.Tuples {
-				d := tp.DataHash()
-				byData[d] = append(byData[d], tp.Condition())
-			}
-			e.conds[name] = byData
-		}
-	}
-
 	// Insert the new facts, recording the genuinely new ones as the
 	// initial delta. The touched EDB relations are exported into the
 	// result so successive increments see the accumulated facts.
@@ -116,11 +92,9 @@ seedLoop:
 			rel = e.store.Ensure(pred, arity)
 			e.noteArity(pred, arity)
 		}
-		seen := e.seen[pred]
-		if seen == nil {
-			seen = map[ctable.TupleID]struct{}{}
-			e.seen[pred] = seen
-		}
+		// newEngine seeded the derived relations' groups from prev; an
+		// added relation's rows and facts only need dedup here.
+		groups := seedGroups(rel)
 		for _, tp := range tuples {
 			if seeded%seedCheckEvery == 0 {
 				if err := e.bud.Check("increment seed"); err != nil {
@@ -135,11 +109,9 @@ seedLoop:
 			if tp.Condition().IsFalse() {
 				continue
 			}
-			k := tp.Identity()
-			if _, dup := seen[k]; dup {
+			if !groups.seed(tp) {
 				continue
 			}
-			seen[k] = struct{}{}
 			if err := rel.Insert(tp); err != nil {
 				return nil, err
 			}

@@ -17,9 +17,9 @@ package faurelog
 // track speculative work (solver sat calls) may differ.
 //
 // Shared state during the worker phase is either frozen (the relation
-// store, the seen/conds maps, engine configuration) or concurrency-
-// safe (the budget tracker, relation probe counters, the observer
-// registry). Each worker owns a private solver; solvers share learned
+// store, the derived relations' group tables, engine configuration) or
+// concurrency-safe (the budget tracker, relation probe counters, the
+// observer registry). Each worker owns a private solver; solvers share learned
 // satisfiability decisions through a solver.Memo that is flushed only
 // at round barriers, while no worker runs.
 //
@@ -31,6 +31,7 @@ package faurelog
 // trips: the round's tuples committed so far stand.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,15 +225,13 @@ func (e *engine) runUnit(w *evalWorker, u unit, ur *unitResult) {
 			ur.falsePruned++
 			return nil
 		}
-		// Drop tuples already inserted in earlier rounds (the live seen
-		// map is frozen during the worker phase) and duplicates within
-		// this unit: the merge would drop both anyway, so skipping the
-		// speculative solver call is pure savings. Cross-unit duplicates
+		// Drop conditions the group table already holds from earlier
+		// rounds (it is frozen during the worker phase) and duplicates
+		// within this unit: the merge would drop both anyway, so skipping
+		// the speculative solver call is pure savings. Cross-unit duplicates
 		// survive to the merge, which resolves them in emission order.
-		if s := e.seen[p.pred]; s != nil {
-			if _, dup := s[p.key]; dup {
-				return nil
-			}
+		if slices.Contains(p.rule.groups[p.dataKey].conds, p.cond) {
+			return nil
 		}
 		if _, dup := localSeen[p.key]; dup {
 			return nil

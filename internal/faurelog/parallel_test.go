@@ -334,6 +334,76 @@ func TestAbsorbSemanticProbeStillCounts(t *testing.T) {
 	}
 }
 
+// TestAbsorbDedupBeforeSat: dedup runs before the eager sat check, and
+// a pruned or absorbed condition stays in its group, so an emission
+// repeating an earlier pruned or absorbed (data, condition) pair costs
+// no second SatCalls and is counted once. The repeats arrive in later
+// rounds than the first emission, so at 8 workers it is the workers'
+// pre-filter, reading the frozen group table, that drops them.
+func TestAbsorbDedupBeforeSat(t *testing.T) {
+	// r, s, p and q are one recursive component. p(1) is only ever
+	// derived under $x = 0 ∧ $x = 1 (unsat for the solver, not
+	// syntactically false); q(1) under true, then under $x = 0, which
+	// the committed true absorbs. The r- and s-fed rules repeat both
+	// pairs one and two rounds later.
+	prog := MustParse(`
+		r(v) :- c(v).
+		r(v) :- p(v).
+		r(v) :- q(v).
+		s(v) :- r(v).
+		p(v) :- a(v), b(v).
+		p(v) :- r(v), a(v), b(v).
+		p(v) :- s(v), a(v), b(v).
+		q(v) :- c(v).
+		q(v) :- a(v).
+		q(v) :- r(v), a(v).
+		q(v) :- s(v), a(v).
+	`)
+	const facts = `
+		var $x in {0, 1}.
+		b(1)[$x = 1].
+	`
+	full, err := ParseDatabase(facts + "a(1)[$x = 0]. c(1).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bOnly, err := ParseDatabase(facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := []cond.Term{cond.Int(1)}
+	added := map[string][]ctable.Tuple{
+		"a": {ctable.NewTuple(one, cond.Compare(cond.CVar("x"), cond.Eq, cond.Int(0)))},
+		"c": {ctable.NewTuple(one, nil)},
+	}
+	// One sat call per distinct pair: r(1), s(1) and q(1) under true,
+	// q(1) under $x = 0 and p(1) under the contradiction.
+	const wantSat = 5
+	for _, workers := range []int{1, 8} {
+		opts := Options{Workers: workers}
+		res, err := Eval(prog, full, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Over b alone nothing is derived, so the increment adding a(1)
+		// and c(1) emits the same pairs, repeats included.
+		base, err := Eval(prog, bOnly, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := EvalIncrement(prog, base.DB, added, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, st := range map[string]Stats{"Eval": res.Stats, "EvalIncrement": inc.Stats} {
+			if st.SatCalls != wantSat || st.Pruned != 1 || st.Absorbed != 1 {
+				t.Errorf("%s at %d workers: SatCalls=%d Pruned=%d Absorbed=%d, want %d, 1, 1",
+					name, workers, st.SatCalls, st.Pruned, st.Absorbed, wantSat)
+			}
+		}
+	}
+}
+
 // sanity: the injected trip must round-trip budget.As so Eval treats
 // it as truncation, not an error.
 func init() {
