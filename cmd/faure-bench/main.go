@@ -61,7 +61,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "faure-bench:", err)
 		os.Exit(obsflag.ExitError)
 	}
-	opts := faure.Options{Observer: ob.Observer(), Budget: ob.Budget(), Workers: ob.Workers(), NoPlan: ob.NoPlan()}
+	opts := faure.Options{Observer: ob.Observer(), Budget: ob.Budget(), NoPlan: ob.NoPlan()}
 	if *provCap != 0 {
 		capN := *provCap
 		if capN < 0 {
@@ -187,11 +187,6 @@ type benchWorkload struct {
 	Prefixes int     `json:"prefixes"`
 	WallMS   float64 `json:"wall_ms"`
 	Tuples   int     `json:"tuples"`
-	// Wall1WMS and Speedup are set when the sweep ran with -parallel
-	// N>1: the same workload's single-worker wall time and the ratio
-	// wall_1w_ms / wall_ms.
-	Wall1WMS float64 `json:"wall_1w_ms,omitempty"`
-	Speedup  float64 `json:"speedup,omitempty"`
 	// WallNoPlanMS and PlanSpeedup are set on the join workload: the
 	// same run with -no-plan (written-order evaluation) and the ratio
 	// wall_noplan_ms / wall_ms.
@@ -264,9 +259,6 @@ type benchReport struct {
 	Benchmark string `json:"benchmark"`
 	Seed      int64  `json:"seed"`
 	Pool      int    `json:"pool"`
-	// Workers is the evaluation worker count the sweep ran with (the
-	// -parallel flag; 1 = sequential).
-	Workers int `json:"workers"`
 	// Truncated names the budget that cut the sweep short ("" when the
 	// sweep completed); the workloads list then holds what finished.
 	Truncated string          `json:"truncated,omitempty"`
@@ -289,17 +281,9 @@ type benchIntern struct {
 // stops the sweep, keeps the completed rows (printed and reported) and
 // surfaces as the returned budget error so main exits with code 3.
 func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, outPath string, opts faure.Options) error {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	var results []*faure.Table4Result
-	// baselines holds the matching single-worker run of each sweep
-	// entry when -parallel N>1, for the per-workload speedup columns.
-	var baselines []*faure.Table4Result
 	// joins holds the join-planner stress workload at each size: the
-	// measured run, its single-worker counterpart (when -parallel
-	// N>1), and the written-order (-no-plan) counterpart.
+	// measured run and its written-order (-no-plan) counterpart.
 	var joins []joinRun
 	var truncated *faure.BudgetExceeded
 	for _, n := range sizes {
@@ -312,16 +296,7 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 			truncated = res.Truncated
 			break
 		}
-		if workers > 1 {
-			seqOpts := opts
-			seqOpts.Workers = 1
-			base, err := faure.RunTable4(faure.Table4Config{Prefixes: n, Seed: seed, PoolSize: pool, Options: seqOpts})
-			if err != nil {
-				return err
-			}
-			baselines = append(baselines, base)
-		}
-		jr, err := runJoin(n, seed, workers, opts)
+		jr, err := runJoin(n, seed, opts)
 		if err != nil {
 			return err
 		}
@@ -333,18 +308,6 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 	}
 	fmt.Fprintln(w, "Table 4: running time of reachability analysis (synthetic RIB workload)")
 	fmt.Fprint(w, faure.FormatTable4(results))
-	if workers > 1 {
-		fmt.Fprintf(w, "parallel evaluation: %d workers (speedup vs 1 worker)\n", workers)
-		for i, base := range baselines {
-			for j, row := range results[i].Rows {
-				b := base.Rows[j]
-				if row.Wall() > 0 {
-					fmt.Fprintf(w, "  %-6s prefixes=%-8d wall=%v wall_1w=%v speedup=%.2fx\n",
-						row.Query, results[i].Prefixes, row.Wall(), b.Wall(), ratio(b.Wall(), row.Wall()))
-				}
-			}
-		}
-	}
 	if len(joins) > 0 {
 		fmt.Fprintln(w, "join-stress workload (fat-tree multi-way join, cost-guided planner):")
 		for _, j := range joins {
@@ -395,7 +358,7 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 	}
 
 	if jsonOut {
-		report := buildReport(results, baselines, joins, seed, pool, workers)
+		report := buildReport(results, joins, seed, pool)
 		if truncated != nil {
 			report.Truncated = truncated.Error()
 		}
@@ -411,12 +374,11 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 }
 
 // joinRun is the join-stress workload at one sweep size: the measured
-// run, its single-worker counterpart (when -parallel N>1) and its
-// written-order (-no-plan) counterpart for the plan-speedup column.
+// run and its written-order (-no-plan) counterpart for the
+// plan-speedup column.
 type joinRun struct {
 	prefixes  int
 	res       *faure.JoinStressResult
-	base      *faure.JoinStressResult
 	noPlan    *faure.JoinStressResult
 	truncated *faure.BudgetExceeded
 }
@@ -427,7 +389,7 @@ type joinRun struct {
 // quadratic in the host count, so larger sweeps would spend the whole
 // budget in the baseline run. The printed summary reports the actual
 // host count next to the sweep size.
-func runJoin(n int, seed int64, workers int, opts faure.Options) (joinRun, error) {
+func runJoin(n int, seed int64, opts faure.Options) (joinRun, error) {
 	jr := joinRun{prefixes: n}
 	hosts := n
 	if hosts > 1000 {
@@ -442,14 +404,6 @@ func runJoin(n int, seed int64, workers int, opts faure.Options) (joinRun, error
 		jr.truncated = res.Truncated
 		return jr, nil
 	}
-	if workers > 1 {
-		seqOpts := opts
-		seqOpts.Workers = 1
-		jr.base, err = faure.RunJoinStress(faure.JoinStressConfig{Hosts: hosts, Seed: seed, Options: seqOpts})
-		if err != nil {
-			return jr, err
-		}
-	}
 	npOpts := opts
 	npOpts.NoPlan = true
 	jr.noPlan, err = faure.RunJoinStress(faure.JoinStressConfig{Hosts: hosts, Seed: seed, Options: npOpts})
@@ -460,14 +414,9 @@ func runJoin(n int, seed int64, workers int, opts faure.Options) (joinRun, error
 }
 
 // workloadFromRow converts one query's measurements into the JSON
-// workload entry; base, when non-nil, is the same query's
-// single-worker run for the speedup columns.
-func workloadFromRow(row faure.Table4Row, prefixes int, base *faure.Table4Row) benchWorkload {
-	wl := benchWorkload{Name: row.Query, Prefixes: prefixes, WallMS: ms(row.Wall()), Tuples: row.Tuples, Stats: row.Stats}
-	if base != nil {
-		wl.Wall1WMS, wl.Speedup = ms(base.Wall()), ratio(base.Wall(), row.Wall())
-	}
-	return wl
+// workload entry.
+func workloadFromRow(row faure.Table4Row, prefixes int) benchWorkload {
+	return benchWorkload{Name: row.Query, Prefixes: prefixes, WallMS: ms(row.Wall()), Tuples: row.Tuples, Stats: row.Stats}
 }
 
 // ratio is slow/fast, 0 when fast is 0.
@@ -478,27 +427,17 @@ func ratio(slow, fast time.Duration) float64 {
 	return float64(slow) / float64(fast)
 }
 
-// buildReport converts the sweep results into the JSON document.
-// baselines, when non-empty, holds the single-worker counterpart of
-// each result group for the speedup columns; joins holds the
-// join-stress workload at each size.
-func buildReport(results []*faure.Table4Result, baselines []*faure.Table4Result, joins []joinRun, seed int64, pool int, workers int) benchReport {
-	report := benchReport{Benchmark: "table4", Seed: seed, Pool: pool, Workers: workers}
+// buildReport converts the sweep results into the JSON document; joins
+// holds the join-stress workload at each size.
+func buildReport(results []*faure.Table4Result, joins []joinRun, seed int64, pool int) benchReport {
+	report := benchReport{Benchmark: "table4", Seed: seed, Pool: pool}
 	for i, res := range results {
-		for j, row := range res.Rows {
-			var base *faure.Table4Row
-			if i < len(baselines) && j < len(baselines[i].Rows) {
-				base = &baselines[i].Rows[j]
-			}
-			report.Workloads = append(report.Workloads, workloadFromRow(row, res.Prefixes, base))
+		for _, row := range res.Rows {
+			report.Workloads = append(report.Workloads, workloadFromRow(row, res.Prefixes))
 		}
 		if i < len(joins) && joins[i].res != nil {
 			j := joins[i]
-			var base *faure.Table4Row
-			if j.base != nil {
-				base = &j.base.Row
-			}
-			wl := workloadFromRow(j.res.Row, j.prefixes, base)
+			wl := workloadFromRow(j.res.Row, j.prefixes)
 			if j.noPlan != nil {
 				wl.WallNoPlanMS, wl.PlanSpeedup = ms(j.noPlan.Row.Wall()), ratio(j.noPlan.Row.Wall(), j.res.Row.Wall())
 			}

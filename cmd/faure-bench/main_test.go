@@ -79,7 +79,7 @@ func TestRunJSONReport(t *testing.T) {
 		w.WallNoPlanMS, w.PlanSpeedup = 0, 0
 	}
 	golden := benchReport{
-		Benchmark: "table4", Seed: 1, Pool: 10, Workers: 1,
+		Benchmark: "table4", Seed: 1, Pool: 10,
 		// The incremental-solver counters are exact on purpose: every
 		// workload must show zero search-reaching decisions (certificates
 		// and the fd fast path answer everything at this scale).
@@ -131,9 +131,9 @@ func TestRunJSONReport(t *testing.T) {
 
 // TestReportSchema pins the keys of a JSON workload object, as the
 // table-driven writer must keep them: the Table-4 and join workloads
-// of a plain sweep, a -prov -1 sweep and a -parallel 2 sweep. CI's
-// regression gate compares against reports of earlier commits, so the
-// set may only grow deliberately.
+// of a plain sweep and a -prov -1 sweep. CI's regression gate compares
+// against reports of earlier commits, so the set may only change
+// deliberately.
 func TestReportSchema(t *testing.T) {
 	base := []string{"absorb_probes", "absorbed", "derived", "intern_hits", "intern_live", "intern_misses",
 		"iterations", "memo_evictions", "name", "plans_planned", "plans_reordered", "prefixes",
@@ -149,7 +149,6 @@ func TestReportSchema(t *testing.T) {
 	}{
 		{"plain", faure.Options{}, nil},
 		{"prov", faure.WithProvenance(faure.Options{}, faure.NewProvenance(0)), []string{"prov_edges", "prov_parents"}},
-		{"parallel", faure.Options{Workers: 2}, []string{"speedup", "wall_1w_ms"}},
 	} {
 		out := filepath.Join(t.TempDir(), tc.name+".json")
 		var buf bytes.Buffer
@@ -376,55 +375,6 @@ func TestRunAblations(t *testing.T) {
 	for _, want := range []string{"baseline", "no-absorb", "no-eager-prune", "no-index", "no-solver-cache"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("ablation output missing %q", want)
-		}
-	}
-}
-
-// TestRunParallelReport checks the -parallel sweep: the report records
-// the worker count, each workload carries the single-worker baseline
-// and speedup columns, and the derived counts match the sequential
-// run exactly (parallel evaluation is deterministic).
-func TestRunParallelReport(t *testing.T) {
-	dir := t.TempDir()
-	seqOut := filepath.Join(dir, "seq.json")
-	parOut := filepath.Join(dir, "par.json")
-	var buf bytes.Buffer
-	if err := run(&buf, []int{40}, 1, 10, false, true, seqOut, faure.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&buf, []int{40}, 1, 10, false, true, parOut, faure.Options{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "parallel evaluation: 4 workers") {
-		t.Errorf("missing parallel summary line:\n%s", buf.String())
-	}
-	var seq, par benchReport
-	for path, into := range map[string]*benchReport{seqOut: &seq, parOut: &par} {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(raw, into); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-	}
-	if seq.Workers != 1 || par.Workers != 4 {
-		t.Fatalf("workers fields = %d / %d, want 1 / 4", seq.Workers, par.Workers)
-	}
-	if len(seq.Workloads) != len(par.Workloads) {
-		t.Fatalf("workload counts diverge: %d vs %d", len(seq.Workloads), len(par.Workloads))
-	}
-	for i, s := range seq.Workloads {
-		p := par.Workloads[i]
-		if s.Wall1WMS != 0 || s.Speedup != 0 {
-			t.Errorf("sequential workload %s has baseline columns set", s.Name)
-		}
-		if p.Wall1WMS == 0 || p.Speedup == 0 {
-			t.Errorf("parallel workload %s missing baseline columns: %+v", p.Name, p)
-		}
-		if s.Derived != p.Derived || s.Pruned != p.Pruned || s.Absorbed != p.Absorbed ||
-			s.Iterations != p.Iterations || s.Tuples != p.Tuples || s.AbsorbProbes != p.AbsorbProbes {
-			t.Errorf("workload %s: deterministic counters diverge:\nseq %+v\npar %+v", s.Name, s, p)
 		}
 	}
 }

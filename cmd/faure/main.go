@@ -138,7 +138,6 @@ func cmdEval(args []string) error {
 			Prov:     rec,
 			Observer: ob.Observer(),
 			Budget:   ob.Budget(),
-			Workers:  ob.Workers(),
 		})
 		if err != nil {
 			return err

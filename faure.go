@@ -277,9 +277,9 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // Provenance types: a recorder captures, for every committed tuple,
 // the rule and parent tuples of its first derivation; an explainer
 // resolves the recorded edges against the result database into
-// derivation trees. Recording is deterministic — the provenance
-// content is bit-identical at any worker count — and memory-bounded on
-// demand (flight-recorder mode).
+// derivation trees. Recording is deterministic — two runs of the same
+// evaluation record the same edges — and memory-bounded on demand
+// (flight-recorder mode).
 type (
 	// ProvRecorder accumulates provenance edges during evaluation.
 	ProvRecorder = prov.Recorder
@@ -390,15 +390,6 @@ func WithContext(opts Options, ctx context.Context) Options {
 // WithTimeout is shorthand for a wall-clock-only budget.
 func WithTimeout(opts Options, d time.Duration) Options {
 	return WithBudget(opts, NewBudget(nil, Budget{Timeout: d}))
-}
-
-// WithWorkers returns a copy of opts that evaluates fixpoint rounds on
-// n parallel workers (n <= 1 keeps the sequential engine). Parallel
-// evaluation is deterministic: the result tables — tuples, conditions
-// and ordering — are bit-for-bit identical at any worker count.
-func WithWorkers(opts Options, n int) Options {
-	opts.Workers = n
-	return opts
 }
 
 // Eval runs a fauré-log program over a database.

@@ -6,60 +6,49 @@ import (
 	"faure"
 )
 
-// TestIncrementalWorkerParity is the incremental solver's determinism
+// TestSolverCacheParity is the incremental solver's determinism
 // contract: certificate replay, DAG propagation and the compiled
 // finite-domain fast path change how conditions are decided, never
 // what the engine derives. The full Table 4 chain must be bit-for-bit
-// identical at 1 and 8 workers — and identical to a run with the
-// certificate store disabled entirely (the pure-search baseline).
-func TestIncrementalWorkerParity(t *testing.T) {
-	run := func(workers int, noCache bool) map[string]string {
+// identical to a run with the certificate store disabled entirely (the
+// pure-search baseline).
+func TestSolverCacheParity(t *testing.T) {
+	run := func(noCache bool) map[string]string {
 		t.Helper()
-		opts := faure.Options{Workers: workers, NoSolverCache: noCache}
+		opts := faure.Options{NoSolverCache: noCache}
 		r := faure.GenerateRIB(faure.RIBConfig{Prefixes: 80, PoolSize: 10, Seed: 3})
 		fwd := r.ForwardingDatabase()
 		out := map[string]string{}
 		reach, err := faure.Eval(faure.ReachabilityProgram(), fwd, opts)
 		if err != nil {
-			t.Fatalf("workers=%d noCache=%v q4-q5: %v", workers, noCache, err)
+			t.Fatalf("noCache=%v q4-q5: %v", noCache, err)
 		}
 		out["q4-q5"] = dumpTables(reach.DB)
 		q6, err := faure.Eval(faure.TwoLinkFailureProgram("x", "y", "z"), reach.DB, opts)
 		if err != nil {
-			t.Fatalf("workers=%d noCache=%v q6: %v", workers, noCache, err)
+			t.Fatalf("noCache=%v q6: %v", noCache, err)
 		}
 		out["q6"] = dumpTables(q6.DB)
 		q8, err := faure.Eval(faure.AtLeastOneFailureProgram(1, "y", "z"), reach.DB, opts)
 		if err != nil {
-			t.Fatalf("workers=%d noCache=%v q8: %v", workers, noCache, err)
+			t.Fatalf("noCache=%v q8: %v", noCache, err)
 		}
 		out["q8"] = dumpTables(q8.DB)
 		return out
 	}
-	want := run(1, false)
-	for _, cfg := range []struct {
-		workers int
-		noCache bool
-	}{
-		{8, false}, // incremental, parallel
-		{1, true},  // pure-search ablation
-		{8, true},  // pure-search, parallel
-	} {
-		got := run(cfg.workers, cfg.noCache)
-		for name, w := range want {
-			if got[name] != w {
-				t.Errorf("%s: tables diverge at workers=%d noCache=%v from the incremental sequential run",
-					name, cfg.workers, cfg.noCache)
-			}
+	want := run(false)
+	got := run(true) // pure-search ablation
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: pure-search tables diverge from the certificate solver's", name)
 		}
 	}
 }
 
 // tablePrefix reports whether every table of got is a row-for-row
 // prefix of the same table in full. Budget-truncated evaluations stop
-// on the deterministic commit order — sequentially mid-round, in
-// parallel at a round boundary — so their tables are always prefixes
-// of the untruncated result's.
+// on the deterministic commit order, so their tables are always
+// prefixes of the untruncated result's.
 func tablePrefix(got, full *faure.Database) string {
 	for name, gt := range got.Tables {
 		ft, ok := full.Tables[name]
@@ -79,14 +68,11 @@ func tablePrefix(got, full *faure.Database) string {
 }
 
 // TestIncrementalBudgetTripRollback trips a solver-step budget
-// mid-evaluation. Certificates from aborted decisions roll back with
-// the round, so each configuration's truncated result is (a)
-// deterministic across repeats, (b) a row-for-row prefix of the full
-// result — a tripped decision never commits a wrong tuple — and (c) a
-// fresh unbudgeted evaluation afterwards still produces the full,
-// untainted result. (1- and 8-worker truncations need not be equal:
-// sequential trips keep the round's tuples committed so far, parallel
-// trips roll the whole round back.)
+// mid-evaluation. A tripped decision is never cached, so the truncated
+// result is (a) deterministic across repeats, (b) a row-for-row prefix
+// of the full result — a tripped decision never commits a wrong tuple
+// — and (c) a fresh unbudgeted evaluation afterwards still produces the
+// full, untainted result.
 func TestIncrementalBudgetTripRollback(t *testing.T) {
 	r := faure.GenerateRIB(faure.RIBConfig{Prefixes: 80, PoolSize: 10, Seed: 3})
 	fwd := r.ForwardingDatabase()
@@ -97,31 +83,28 @@ func TestIncrementalBudgetTripRollback(t *testing.T) {
 	}
 	wantFull := dumpTables(full.DB)
 
-	tripped := func(workers int) (string, *faure.Database) {
+	tripped := func() (string, *faure.Database) {
 		t.Helper()
 		bud := faure.NewBudget(nil, faure.Budget{SolverSteps: 40})
-		res, err := faure.Eval(faure.ReachabilityProgram(), fwd,
-			faure.WithWorkers(faure.WithBudget(faure.Options{}, bud), workers))
+		res, err := faure.Eval(faure.ReachabilityProgram(), fwd, faure.WithBudget(faure.Options{}, bud))
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
 		if res.Truncated == nil {
-			t.Fatalf("workers=%d: solver-step budget did not trip", workers)
+			t.Fatal("solver-step budget did not trip")
 		}
 		got := dumpTables(res.DB)
 		if got == wantFull {
-			t.Fatalf("workers=%d: tripped run produced the full result; the budget did nothing", workers)
+			t.Fatal("tripped run produced the full result; the budget did nothing")
 		}
 		return got, res.DB
 	}
-	for _, workers := range []int{1, 8} {
-		first, db := tripped(workers)
-		if again, _ := tripped(workers); again != first {
-			t.Errorf("workers=%d: truncated result not deterministic across repeats", workers)
-		}
-		if msg := tablePrefix(db, full.DB); msg != "" {
-			t.Errorf("workers=%d: %s", workers, msg)
-		}
+	first, db := tripped()
+	if again, _ := tripped(); again != first {
+		t.Error("truncated result not deterministic across repeats")
+	}
+	if msg := tablePrefix(db, full.DB); msg != "" {
+		t.Error(msg)
 	}
 
 	// The trips left no poisoned certificate behind: re-running without

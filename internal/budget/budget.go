@@ -141,12 +141,11 @@ const pollEvery = 4096
 // solver, so "10k solver steps" means 10k steps total, not per phase.
 //
 // A nil *B is valid everywhere and disables all checks. A tracker is
-// safe for concurrent use: the parallel evaluation engine shares one
-// tracker across its worker goroutines, each charging steps and tuples
-// through atomic counters. The first goroutine to exhaust a budget
-// records the trip (first trip wins); every later check on any
-// goroutine returns that same sticky *Exceeded, so the remaining
-// workers drain at their next checkpoint.
+// safe for concurrent use: goroutines sharing one charge steps and
+// tuples through atomic counters. The first goroutine to exhaust a
+// budget records the trip (first trip wins); every later check on any
+// goroutine returns that same sticky *Exceeded, so every sharer stops
+// at its next checkpoint.
 type B struct {
 	ctx         context.Context
 	deadline    time.Time
@@ -258,10 +257,11 @@ func (b *B) SolverStep() error {
 		}
 	}
 	if b.sincePoll.Add(1) >= pollEvery {
-		// The reset is racy across workers — several may reset around the
-		// same threshold crossing — but polling is approximate by design:
-		// what matters is that some worker reads the clock at least every
-		// pollEvery steps, which the shared counter guarantees.
+		// The reset is racy when goroutines share the tracker — several
+		// may reset around the same threshold crossing — but polling is
+		// approximate by design: what matters is that some caller reads
+		// the clock at least every pollEvery steps, which the shared
+		// counter guarantees.
 		b.sincePoll.Store(0)
 		return b.Check("solver")
 	}

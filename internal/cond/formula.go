@@ -38,8 +38,8 @@ const (
 // hash, atom count, free c-variables) is fixed at intern time, and the
 // lazy key cache is an atomic pointer. Formulas may therefore be read
 // — compared, traversed, solved — from any number of goroutines
-// without synchronisation; the parallel evaluation engine depends on
-// this.
+// without synchronisation; faure-serve's concurrent evaluations share
+// every interned formula this way.
 type Formula struct {
 	Kind FKind
 	Atom Atom       // valid when Kind == FAtom
@@ -63,8 +63,8 @@ var (
 // ID returns the formula's interned identity: two formulas are the
 // same canonical node iff their IDs are equal. IDs are assigned in
 // first-intern order, so they are stable within a process but NOT
-// across runs (and under the parallel engine not across worker
-// counts); use them as map keys, never to order output.
+// across runs (and under concurrent evaluations not across
+// interleavings); use them as map keys, never to order output.
 func (f *Formula) ID() uint64 { return f.id }
 
 // NAtoms returns the number of atom occurrences in f. It is computed
@@ -171,8 +171,9 @@ func combine(kind FKind, fs []*Formula) *Formula {
 		}
 	}
 	// Canonical child order is purely structural (compareNode): it must
-	// not involve intern ids, whose assignment order is racy under the
-	// parallel engine, or determinism across worker counts would break.
+	// not involve intern ids, whose assignment order depends on what the
+	// process interned before (and on interleaving under faure-serve's
+	// concurrent evaluations), or runs would disagree across processes.
 	// Children are interned and compareNode is 0 only for the same
 	// pointer, so duplicates end up adjacent and Compact drops them.
 	slices.SortFunc(flat, compareNode)

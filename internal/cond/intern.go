@@ -8,9 +8,10 @@ package cond
 // free c-variable set, structural hash) is computed once, when the
 // node first enters the table.
 //
-// Concurrency contract: the table is lock-striped — one mutex per
-// shard, shard selected by the node's structural hash — so the
-// parallel engine's workers can build formulas concurrently. A lookup
+// Concurrency contract: the table is process-wide and lock-striped —
+// one mutex per shard, shard selected by the node's structural hash —
+// so concurrent evaluations (faure-serve evaluates reader requests
+// concurrently) can build formulas at the same time. A lookup
 // holds exactly one shard lock and performs no allocation on a hit.
 // An atom and its complement share a shard (hashNode), so a new atom
 // is linked to its complement under that same lock.
@@ -19,11 +20,12 @@ package cond
 // may be read from any number of goroutines without synchronisation.
 //
 // Determinism contract: intern ids are assigned in first-intern order,
-// which under the parallel engine depends on goroutine interleaving.
-// Ids therefore identify nodes within a process but must NEVER order
-// anything user-visible — canonical child ordering is the purely
-// structural compareNode, and serialisation (String, Key) depends only
-// on structure, so output is bit-identical at any worker count.
+// which depends on what the process evaluated before and, under
+// concurrent evaluations, on goroutine interleaving. Ids therefore
+// identify nodes within a process but must NEVER order anything
+// user-visible — canonical child ordering is the purely structural
+// compareNode, and serialisation (String, Key) depends only on
+// structure, so output is bit-identical across runs and processes.
 //
 // Growth contract: interned nodes are never reclaimed. This is the
 // classic hash-consing trade-off — monotonic growth bounded by the
@@ -119,8 +121,8 @@ func hashAtomPair(h uint64, a Atom) uint64 {
 
 // hashNode returns the node's structural hash h and the hash its shard
 // is selected by. It depends only on the node's structure — child
-// hashes, never child ids — so it is identical across runs and worker
-// counts. The two are equal except for an atom: its shard hash is
+// hashes, never child ids — so it is identical across runs and
+// processes. The two are equal except for an atom: its shard hash is
 // hashAtomPair, and h adds the atom's own operator to it, so an atom
 // and its complement share a shard and one's h follows from the
 // other's shard hash.

@@ -55,9 +55,6 @@ import (
 type Opts struct {
 	Obs    obs.Observer
 	Budget *budget.B
-	// Workers sets the parallelism of the inner fauré-log evaluations
-	// (<= 1 is sequential; results are identical at any count).
-	Workers int
 	// NoPlan disables cost-guided join planning in the inner
 	// evaluations (results are identical either way).
 	NoPlan bool
@@ -247,7 +244,7 @@ func ruleContained(r faurelog.Rule, container *faurelog.Program, base map[string
 	if err != nil {
 		return false, err
 	}
-	res, err := faurelog.Eval(container, db, faurelog.Options{Observer: o, Budget: opt.Budget, Workers: opt.Workers, NoPlan: opt.NoPlan})
+	res, err := faurelog.Eval(container, db, faurelog.Options{Observer: o, Budget: opt.Budget, NoPlan: opt.NoPlan})
 	if err != nil {
 		return false, err
 	}

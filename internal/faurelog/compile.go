@@ -19,7 +19,6 @@ package faurelog
 
 import (
 	"fmt"
-	"sync"
 
 	"faure/internal/cond"
 	"faure/internal/ctable"
@@ -219,10 +218,11 @@ type compiledRule struct {
 
 	// The ground comparisons' formulas (indexed like comps, nil where a
 	// comparison depends on bindings) and the ground head condition,
-	// built by the first emission that needs them.
-	groundOnce sync.Once
-	ground     []*cond.Formula
-	groundHead *cond.Formula
+	// built by the first emission that needs them; groundBuilt records
+	// that they were.
+	groundBuilt bool
+	ground      []*cond.Formula
+	groundHead  *cond.Formula
 
 	// Strings built once per rule instead of once per tuple: the rule's
 	// rendering for provenance (only when recording is on) and
@@ -247,17 +247,19 @@ func (cr *compiledRule) plan(deltaIdx int) *rulePlan { return cr.plans[deltaIdx+
 
 // groundFormulas builds the rule's binding-independent conditions once.
 func (cr *compiledRule) groundFormulas() {
-	cr.groundOnce.Do(func() {
-		cr.ground = make([]*cond.Formula, len(cr.comps))
-		for i := range cr.comps {
-			if cr.comps[i].ground {
-				cr.ground[i] = cr.comps[i].formula(nil)
-			}
+	if cr.groundBuilt {
+		return
+	}
+	cr.groundBuilt = true
+	cr.ground = make([]*cond.Formula, len(cr.comps))
+	for i := range cr.comps {
+		if cr.comps[i].ground {
+			cr.ground[i] = cr.comps[i].formula(nil)
 		}
-		if cr.hasHeadCond && cr.headCond.ground {
-			cr.groundHead = cr.headCond.formula(nil)
-		}
-	})
+	}
+	if cr.hasHeadCond && cr.headCond.ground {
+		cr.groundHead = cr.headCond.formula(nil)
+	}
 }
 
 // rulePlan is a rule compiled for one delta position: the body in

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"faure/internal/budget"
@@ -48,14 +47,13 @@ type Options struct {
 	// satisfiability results (ablation knob).
 	NoSolverCache bool
 	// Prov, when non-nil, records every committed tuple's provenance
-	// edge — rule, parent tuple identities, stratum/round, preparing
-	// worker — into the recorder (see internal/prov). Recording happens
-	// only in the serial commit path, so everything but the worker
-	// attribution is bit-identical at any worker count. Nil disables
-	// recording at zero cost. A bounded recorder (prov.NewRecorder with
-	// a positive capacity) caps memory flight-recorder style; the same
-	// recorder may span several evaluations (Stats reports this run's
-	// deltas).
+	// edge — rule, parent tuple identities, stratum/round — into the
+	// recorder (see internal/prov). Recording happens at commit, in
+	// emission order, so the recorded edges are as deterministic as the
+	// tables. Nil disables recording at zero cost. A bounded recorder
+	// (prov.NewRecorder with a positive capacity) caps memory
+	// flight-recorder style; the same recorder may span several
+	// evaluations (Stats reports this run's deltas).
 	Prov *prov.Recorder
 	// Observer receives the evaluation's spans (eval → iteration →
 	// rule), per-rule derivation counts, and the SQL-vs-solver time
@@ -74,14 +72,10 @@ type Options struct {
 	// several phases (the verifier's ladder) pass the same tracker to
 	// each; the first phase to exhaust it trips them all.
 	Budget *budget.B
-	// Workers sets evaluation parallelism: how many goroutines shard
-	// each fixpoint round's rule applications, each with its own solver
-	// instance. 0 or 1 selects the sequential engine. Parallel
-	// evaluation is deterministic: workers only collect candidate
-	// tuples, and a coordinator replays them in the sequential emission
-	// order at each round barrier, so the result tables — contents,
-	// conditions and ordering — are bit-for-bit identical whatever the
-	// worker count (see parallel.go).
+	// Workers is ignored: evaluation is sequential.
+	//
+	// Deprecated: the field remains only so that existing callers that
+	// set it still compile; it has no effect.
 	Workers int
 }
 
@@ -103,13 +97,6 @@ func (o Options) maxIters() int {
 		return o.MaxIterations
 	}
 	return 100000
-}
-
-func (o Options) workerCount() int {
-	if o.Workers > 1 {
-		return o.Workers
-	}
-	return 1
 }
 
 // Result is the outcome of an evaluation: the database extended with
@@ -195,18 +182,17 @@ type engine struct {
 	opts  Options
 	// store holds only the relations the program reads or writes (plus
 	// the relations an increment adds to), loaded before the first
-	// round so workers only ever read it; every other input table
-	// reaches the result through db.Clone.
+	// round; every other input table reaches the result through
+	// db.Clone.
 	store *relstore.Store
 	sol   *solver.Solver
 	// pending buffers the tuples committed during the current round;
 	// they reach the relation store only at the round barrier, so every
-	// join in a round — sequential or on a worker — reads the store as
-	// of the round's start. This snapshot (Jacobi-style) round is what
-	// makes the parallel engine's output bit-identical to sequential:
-	// a worker joining against the frozen store sees exactly what the
-	// sequential join would. Derivations that need a same-round tuple
-	// fire one round later through its delta.
+	// join in a round reads the store as of the round's start. This
+	// snapshot (Jacobi-style) round fixes the round each tuple is
+	// derived in, and with it the engine's row order, which
+	// golden_test.go pins: a derivation that needs a same-round tuple
+	// fires one round later, through its delta.
 	pending []pendingInsert
 	// derived names the predicates the program defines, in insertion
 	// order, to build the result database; extraExport lists EDB
@@ -223,9 +209,8 @@ type engine struct {
 	// prov is the provenance recorder (nil = off); provStart snapshots
 	// its counters at engine construction so Stats reports this run's
 	// deltas even when one recorder spans several evaluations.
-	// curStratum/curRound locate the round whose commits are being
-	// replayed; they are written in runRound and read in commit, both
-	// on the coordinating goroutine only.
+	// curStratum/curRound locate the round being run; they are written
+	// in runRound and read in commit.
 	prov       *prov.Recorder
 	provStart  prov.Stats
 	curStratum int
@@ -237,15 +222,10 @@ type engine struct {
 	// bud is the resolved resource tracker (nil when governance is off);
 	// the solver shares it, so its steps drain the same budget.
 	bud *budget.B
-	// wrk holds the per-worker state of the parallel engine (empty in
-	// sequential mode); memo is the satisfiability memo the worker
-	// solvers and the base solver share through round-barrier flushes.
-	wrk  []*evalWorker
-	memo *solver.Memo
-	// Planner counters; atomic because parallel workers plan their own
-	// units against the frozen store.
-	plansPlanned   atomic.Int64
-	plansReordered atomic.Int64
+	// Planner counters: rule applications planned, and those whose plan
+	// differs from the written order.
+	plansPlanned   int64
+	plansReordered int64
 	// internStart snapshots the global condition intern table at engine
 	// construction, so the run's Stats can report hit/miss deltas.
 	internStart cond.InternStats
@@ -274,26 +254,6 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 	}
 	if e.obsOn {
 		e.sol.SetObserver(opts.Observer)
-	}
-	if n := opts.workerCount(); n > 1 {
-		if !opts.NoSolverCache {
-			e.memo = solver.NewMemo(0)
-			e.sol.SetSharedMemo(e.memo)
-		}
-		e.wrk = make([]*evalWorker, n)
-		for i := range e.wrk {
-			ws := solver.New(db.Doms)
-			ws.SetBudget(e.bud)
-			if opts.NoSolverCache {
-				ws.SetCacheLimit(0)
-			} else {
-				ws.SetSharedMemo(e.memo)
-			}
-			if e.obsOn {
-				ws.SetObserver(opts.Observer)
-			}
-			e.wrk[i] = &evalWorker{sol: ws, idx: i}
-		}
 	}
 	if opts.Prov != nil {
 		e.prov = opts.Prov
@@ -337,8 +297,8 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 	return e, nil
 }
 
-// load brings the named input table into the store, once. Called only
-// before the first round, so the store is a pure read for workers.
+// load brings the named input table into the store, once, before the
+// first round.
 func (e *engine) load(name string) {
 	if e.store.Rel(name) != nil {
 		return
@@ -407,11 +367,8 @@ func (e *engine) finish(start time.Time, evalSpan obs.Span, err error) error {
 	// The wall clock of the whole run minus the time spent in the
 	// solver is the relational ("sql") phase. Both are read once, after
 	// every phase (the deferred final prune included), so solver time
-	// from later phases cannot leak into the relational column. On a
-	// parallel run the solver column sums per-worker CPU time and can
-	// exceed the wall clock; the relational column clamps at zero
-	// instead of going negative.
-	e.stats.SQLTime = max(0, time.Since(start)-e.stats.SolverTime)
+	// from later phases cannot leak into the relational column.
+	e.stats.SQLTime = time.Since(start) - e.stats.SolverTime
 	e.captureSolverStats()
 	e.captureInternStats()
 	e.captureStoreStats()
@@ -436,24 +393,15 @@ func (e *engine) captureProvStats() {
 	e.stats.ProvEvicted = now.Evicted - e.provStart.Evicted
 }
 
-// captureSolverStats folds the solvers' certificate counters into the
-// run's Stats. Worker solvers merge into the base solver at round
-// barriers; any residue since the last barrier is summed here (workers
-// reset at each fold, so nothing double-counts). Memo evictions
-// combine the per-solver cache evictions with the shared store's.
+// captureSolverStats folds the solver's certificate counters, and its
+// cache's clock evictions, into the run's Stats.
 func (e *engine) captureSolverStats() {
 	ss := e.sol.Stats()
-	for _, w := range e.wrk {
-		ss.Add(w.sol.Stats())
-	}
 	e.stats.SolverCacheHits = int64(ss.CacheHits)
 	e.stats.SolverCertHits = int64(ss.CertHits)
 	e.stats.SolverFastPathHits = int64(ss.FastPathHits)
 	e.stats.SolverSearches = int64(ss.Searches())
 	e.stats.MemoEvictions = int64(ss.Evictions)
-	if e.memo != nil {
-		e.stats.MemoEvictions += e.memo.Evictions()
-	}
 }
 
 // captureInternStats folds the condition intern table's counters into
@@ -479,8 +427,8 @@ func (e *engine) captureStoreStats() {
 	e.stats.Scans = sc.Scans
 	e.stats.FallbackScans = sc.Fallbacks
 	e.stats.Intersections = sc.Intersections
-	e.stats.PlansPlanned = e.plansPlanned.Load()
-	e.stats.PlansReordered = e.plansReordered.Load()
+	e.stats.PlansPlanned = e.plansPlanned
+	e.stats.PlansReordered = e.plansReordered
 }
 
 // runStrata evaluates each stratum to fixpoint, in dependency order.
@@ -521,6 +469,13 @@ func (e *engine) stratumRules(preds []string) ([]*compiledRule, map[string]bool)
 // delta is the per-round set of newly derived tuples for the recursive
 // predicates of a stratum.
 type delta map[string][]ctable.Tuple
+
+// unit is one rule application of a round: a compiled rule plan with,
+// when the plan is fed, its first literal restricted to a delta slice.
+type unit struct {
+	p     *rulePlan
+	delta []ctable.Tuple
+}
 
 func (e *engine) evalStratum(rules []*compiledRule, recursive map[string]bool, evalSpan obs.Span, stratum int) error {
 	for _, cr := range rules {
@@ -565,17 +520,14 @@ func (e *engine) evalStratum(rules []*compiledRule, recursive map[string]bool, e
 	return nil
 }
 
-// runRound runs one fixpoint round's units — checkpoint, iteration
-// span, then either the sequential loop or the worker pool. The two
-// paths produce identical emissions in identical order (see
-// parallel.go); only wall-clock and span shape differ.
+// runRound runs one fixpoint round's units in order — checkpoint,
+// iteration span, one rule application per unit — and then flushes the
+// round's commits into the store.
 func (e *engine) runRound(units []unit, sink func(string, ctable.Tuple), evalSpan obs.Span, stratum, round int) error {
 	if err := e.checkpoint(stratum, round); err != nil {
 		return err
 	}
-	// Locate this round's commits for provenance recording. Written
-	// here and read in commit — both only on the coordinating
-	// goroutine (workers never commit).
+	// Locate this round's commits for provenance recording.
 	e.curStratum, e.curRound = stratum, round
 	var itSpan obs.Span
 	if e.obsOn {
@@ -583,15 +535,14 @@ func (e *engine) runRound(units []unit, sink func(string, ctable.Tuple), evalSpa
 			obs.Int("stratum", int64(stratum)), obs.Int("round", int64(round)))
 	}
 	var err error
-	if len(e.wrk) > 0 {
-		err = e.runRoundParallel(units, sink, itSpan)
-	} else {
-		err = e.runRoundSeq(units, sink, itSpan)
+	for _, u := range units {
+		if err = e.deriveRuleObserved(u.p, u.delta, sink, itSpan); err != nil {
+			break
+		}
 	}
 	// Round barrier: the tuples committed this round become visible to
 	// the next round's joins. On a mid-round budget trip the commits
-	// made so far still stand (sequential truncation semantics); a
-	// worker-phase trip left pending empty, so the round rolls back.
+	// made so far still stand.
 	if ferr := e.flushPending(); err == nil {
 		err = ferr
 	}
@@ -623,15 +574,6 @@ func (e *engine) flushPending() error {
 	return nil
 }
 
-func (e *engine) runRoundSeq(units []unit, sink func(string, ctable.Tuple), itSpan obs.Span) error {
-	for _, u := range units {
-		if err := e.deriveRuleObserved(u.p, u.delta, sink, itSpan); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // checkpoint runs the per-round governance checks: the fault-injection
 // point for deterministic iteration failures, then cancellation and
 // wall-clock polling.
@@ -658,27 +600,16 @@ func (e *engine) annotate(err error, stratum, round int) error {
 	return err
 }
 
-// emitFn receives each completed body match of a rule application:
-// the rule plan, the final slot bindings, the accumulated body
-// conditions and (when tracing) the source tuples. The slots, conds
-// and srcs slices are only valid during the call. The sequential
-// engine plugs in emit directly; the parallel workers plug in a
-// candidate collector (see runUnit).
-type emitFn func(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source) error
-
 // deriveRuleObserved wraps deriveRule in a "rule" span recording the
 // head predicate and how many tuples the application derived. With
 // observation off it is a tail call into deriveRule.
 func (e *engine) deriveRuleObserved(p *rulePlan, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple), itSpan obs.Span) error {
-	emit := func(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source) error {
-		return e.emit(p, slots, conds, srcs, sink)
-	}
 	if !e.obsOn {
-		return e.deriveRule(p, deltaTuples, emit)
+		return e.deriveRule(p, deltaTuples, sink)
 	}
 	sp := itSpan.StartChild("rule", obs.String("head", p.pred))
 	before := e.stats.Derived
-	err := e.deriveRule(p, deltaTuples, emit)
+	err := e.deriveRule(p, deltaTuples, sink)
 	derived := e.stats.Derived - before
 	sp.SetAttrs(obs.Int("derived", derived))
 	sp.End()
@@ -690,8 +621,8 @@ func (e *engine) deriveRuleObserved(p *rulePlan, deltaTuples []ctable.Tuple, sin
 // fed literal (restricted to deltaTuples) first, the other positives
 // in written order, then the negations, whose variables are all bound
 // by then (safety is validated) — and hands every completed match to
-// emit.
-func (e *engine) deriveRule(p *rulePlan, deltaTuples []ctable.Tuple, emit emitFn) error {
+// emit, which passes each committed tuple to sink.
+func (e *engine) deriveRule(p *rulePlan, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple)) error {
 	// Per-rule-application poll; the empty location is filled in with
 	// the stratum and round by the caller's annotate.
 	if err := e.bud.Check(""); err != nil {
@@ -705,13 +636,13 @@ func (e *engine) deriveRule(p *rulePlan, deltaTuples []ctable.Tuple, emit emitFn
 	// through to the streaming join, which costs nothing extra.
 	if !e.opts.NoPlan && p.nPos > 1 {
 		order, changed := e.planPositives(p)
-		e.plansPlanned.Add(1)
+		e.plansPlanned++
 		if changed {
-			e.plansReordered.Add(1)
-			return e.runPlanned(p, deltaTuples, order, emit)
+			e.plansReordered++
+			return e.runPlanned(p, deltaTuples, order, sink)
 		}
 	}
-	j := &join{e: e, p: p, delta: deltaTuples, emit: emit, m: newMatcher(p), rels: e.rels(p)}
+	j := &join{e: e, p: p, delta: deltaTuples, sink: sink, m: newMatcher(p), rels: e.rels(p)}
 	conds := make([]*cond.Formula, 0, 2*len(p.lits)+1)
 	var srcs []Source
 	if e.needSrcs {
@@ -730,15 +661,13 @@ func (e *engine) rels(p *rulePlan) []*relstore.Relation {
 	return rels
 }
 
-// join is one streaming rule application. It is safe to run on a
-// worker goroutine when emit is: besides emit it touches only the
-// frozen store, the (atomic) budget and read-only engine
-// configuration.
+// join is one streaming rule application in written order; every
+// completed match goes to emit.
 type join struct {
 	e     *engine
 	p     *rulePlan
 	delta []ctable.Tuple
-	emit  emitFn
+	sink  func(string, ctable.Tuple)
 	m     *matcher
 	rels  []*relstore.Relation
 }
@@ -746,7 +675,7 @@ type join struct {
 func (j *join) run(i int, conds []*cond.Formula, srcs []Source) error {
 	p := j.p
 	if i == len(p.lits) {
-		return j.emit(p, j.m.slots, conds, srcs)
+		return j.e.emit(p, j.m.slots, conds, srcs, j.sink)
 	}
 	l := &p.lits[i]
 	if l.neg {
@@ -879,11 +808,12 @@ func (e *engine) negation(l *litPlan, rel *relstore.Relation, slots []cond.Term)
 	return cond.Not(cond.Or(matches...)), pattern
 }
 
-// emit instantiates the rule head under the completed bindings,
-// attaches the accumulated and explicit conditions, prunes and dedups,
-// and inserts the tuple. It is the sequential composition of the two
-// halves the parallel engine runs on different sides of its round
-// barrier: prepareEmit (worker-safe) and commit (serial).
+// emit receives each completed body match of a rule application: the
+// rule plan, the final slot bindings, the accumulated body conditions
+// and (when recording provenance) the source tuples; the slots, conds
+// and srcs slices are only valid during the call. It instantiates the
+// rule head under the bindings (prepareEmit), then dedups, prunes,
+// absorbs and inserts the tuple (commit).
 func (e *engine) emit(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source, sink func(string, ctable.Tuple)) error {
 	pr, live, err := e.prepareEmit(p, slots, conds, srcs)
 	if err != nil {
@@ -893,12 +823,12 @@ func (e *engine) emit(p *rulePlan, slots []cond.Term, conds []*cond.Formula, src
 		e.stats.Pruned++
 		return nil
 	}
-	return e.commit(pr, false, false, sink)
+	return e.commit(pr, sink)
 }
 
-// prepared is the outcome of the worker-safe half of an emission: the
-// instantiated head tuple with its canonical condition, precomputed
-// dedup keys, and (when tracing) the derivation provenance.
+// prepared is the instantiated head tuple of an emission with its
+// canonical condition, precomputed dedup keys, and (when recording)
+// the derivation provenance.
 type prepared struct {
 	pred string
 	tp   ctable.Tuple
@@ -912,17 +842,12 @@ type prepared struct {
 	dataKey [2]uint64     // data-part hash, for absorption grouping
 	rule    *compiledRule // the deriving rule, for its strings
 	srcs    []Source      // copied, set when recording provenance
-	// worker is the preparing worker's index (0 sequentially); recorded
-	// as provenance diagnostics, never part of canonical output.
-	worker int
 }
 
-// prepareEmit builds the head tuple for completed bindings. It is safe
-// to call from worker goroutines: it reads only immutable engine
-// configuration and the rule's once-built ground conditions, and
-// charges the (concurrency-safe) budget. live=false with a nil error
-// reports a syntactically false condition — the caller owns counting
-// the prune so workers can defer it to the merge.
+// prepareEmit builds the head tuple for completed bindings and charges
+// its condition's size to the budget. live=false with a nil error
+// reports a syntactically false condition, which the caller counts as
+// pruned.
 func (e *engine) prepareEmit(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source) (prepared, bool, error) {
 	cr := p.compiledRule
 	all := make([]*cond.Formula, len(conds), len(conds)+len(cr.comps)+1)
@@ -986,13 +911,11 @@ func (e *engine) prepareEmit(p *rulePlan, slots []cond.Term, conds []*cond.Formu
 	return pr, true, nil
 }
 
-// commit is the serial half of an emission: dedup, eager prune,
-// absorption, budget charge, insert, provenance, sink. All shared engine
-// state is touched only here, which is why the parallel merge — which
-// replays prepared candidates in sequential emission order — yields
-// bit-identical tables. satKnown carries a worker's speculative
-// satisfiability verdict so the merge does not repeat the solver call.
-func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable.Tuple)) error {
+// commit is the deciding half of an emission: dedup, eager prune,
+// absorption, budget charge, insert, provenance, sink. Every decision
+// depends on the emissions committed before it, so tables follow from
+// the emission order alone.
+func (e *engine) commit(p prepared, sink func(string, ctable.Tuple)) error {
 	groups := p.rule.groups
 	g := groups[p.dataKey]
 	if slices.Contains(g.conds, p.cond) {
@@ -1001,7 +924,7 @@ func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable
 	// The condition joins the group before the sat check, so a pruned
 	// or absorbed repeat is a duplicate too and costs no second check.
 	g.conds = append(g.conds, p.cond)
-	ok, err := e.admit(&g, p.base, satKnown, sat)
+	ok, err := e.admit(&g, p.base)
 	groups[p.dataKey] = g
 	if err != nil || !ok {
 		return err
@@ -1022,15 +945,12 @@ func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable
 // last entry of its group g, with base its solver hint. It reports
 // whether the tuple is to be committed and, if so, moves the condition
 // into g's committed prefix.
-func (e *engine) admit(g *condGroup, base *cond.Formula, satKnown, sat bool) (bool, error) {
+func (e *engine) admit(g *condGroup, base *cond.Formula) (bool, error) {
 	c := g.conds[len(g.conds)-1]
 	if !e.opts.NoEagerPrune {
-		if !satKnown {
-			var err error
-			sat, err = e.timedSatFrom(c, base)
-			if err != nil {
-				return false, err
-			}
+		sat, err := e.timedSatFrom(c, base)
+		if err != nil {
+			return false, err
 		}
 		if !sat {
 			e.stats.Pruned++
@@ -1071,9 +991,8 @@ func (g *condGroup) commitLast() {
 // groupTable is a derived relation's dedup and absorption state: its
 // condition groups keyed by the 128-bit data-part hash (collision odds
 // at 10^7 tuples are ~10^-25), so no key string is ever built. The
-// rules deriving the relation share one table; the serial commit is
-// its only writer, and parallel workers read it only while it is
-// frozen.
+// rules deriving the relation share one table; commit is its only
+// writer.
 type groupTable map[[2]uint64]condGroup
 
 // seedGroups builds a group table holding rel's rows as committed
@@ -1112,10 +1031,8 @@ type Source struct {
 }
 
 // recordProv stores the provenance edge of a just-committed tuple.
-// Called only from commit — the serial point the parallel merge
-// replays in sequential emission order — so the recorded rule, parents
-// and round are identical at any worker count; only the worker index
-// (pure diagnostics) depends on the schedule.
+// Called only from commit, so the first derivation recorded for a
+// tuple is the one that inserted it.
 func (e *engine) recordProv(p *prepared) {
 	refs := make([]prov.SourceRef, len(p.srcs))
 	for i, s := range p.srcs {
@@ -1126,7 +1043,7 @@ func (e *engine) recordProv(p *prepared) {
 			refs[i].Tuple = s.Tuple
 		}
 	}
-	e.prov.Record(p.pred, p.key, e.prov.InternRule(p.rule.ruleStr), e.curStratum, e.curRound, p.worker, refs)
+	e.prov.Record(p.pred, p.key, e.prov.InternRule(p.rule.ruleStr), e.curStratum, e.curRound, refs)
 }
 
 // absorbed decides whether condition is implied by the disjunction of
@@ -1176,17 +1093,9 @@ func (e *engine) finalPrune() error {
 				return err
 			}
 		}
-		e.replaceRel(pred, kept)
+		e.store.Replace(pred, kept)
 	}
 	return nil
-}
-
-func (e *engine) replaceRel(pred string, rel *relstore.Relation) {
-	// Store has no delete; Ensure then overwrite via a fresh map would
-	// complicate the API, so we rebuild through reflection-free means:
-	// relstore exposes Ensure which returns the existing relation, so
-	// swap by rebuilding the store entry.
-	e.store.Replace(pred, rel)
 }
 
 func (e *engine) result() (*Result, error) {

@@ -202,6 +202,31 @@ func TestEvalFaultInjectedCancellation(t *testing.T) {
 	}
 }
 
+// TestInjectedBudgetTripDeterministic injects a budget trip at a fixed
+// fixpoint checkpoint: Eval must return a truncated result carrying the
+// injected kind, and the same truncated tables on every run.
+func TestInjectedBudgetTripDeterministic(t *testing.T) {
+	db := condGraph(t, 30)
+	prog := MustParse(condPrograms["recursive"])
+	trip := &budget.Exceeded{Kind: budget.Tuples, Limit: 99, Where: "injected"}
+	run := func() string {
+		t.Helper()
+		faultinject.Arm(faultinject.FaurelogIteration, 3, trip)
+		defer faultinject.Disarm()
+		res, err := Eval(prog, db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated == nil || res.Truncated.Kind != budget.Tuples {
+			t.Fatalf("Truncated = %v, want the injected tuple-budget trip", res.Truncated)
+		}
+		return dumpResult(res)
+	}
+	if first, again := run(), run(); first != again {
+		t.Fatalf("truncated tables differ between runs:\nfirst:\n%s\nsecond:\n%s", first, again)
+	}
+}
+
 // TestEvalFaultInjectedHardError: a non-budget injected fault is a
 // real error — it must NOT be laundered into a truncated result.
 func TestEvalFaultInjectedHardError(t *testing.T) {

@@ -348,7 +348,7 @@ func TestIncrementCommitFaultDegrades(t *testing.T) {
 // TestIncrementalSolverStats: every satisfiability decision is answered
 // by exactly one of the exact-key cache, a related certificate, the
 // finite-domain fast path or search, so the four decision counters sum
-// to SatCalls — for EvalIncrement as for Eval, at 1 and 8 workers.
+// to SatCalls — for EvalIncrement as for Eval.
 func TestIncrementalSolverStats(t *testing.T) {
 	db, err := ParseDatabase(`
 		var $a in {0, 1}. var $b in {0, 1}. var $c in {0, 1}.
@@ -368,16 +368,14 @@ func TestIncrementalSolverStats(t *testing.T) {
 			t.Errorf("%s: %d decisions for %d sat calls: %+v", what, decided, s.SatCalls, s)
 		}
 	}
-	for _, workers := range []int{1, 8} {
-		full, err := Eval(reachProg(), db, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("Eval workers=%d", workers), full.Stats)
-		inc, err := EvalIncrement(reachProg(), full.DB, added, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("EvalIncrement workers=%d", workers), inc.Stats)
+	full, err := Eval(reachProg(), db, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("Eval", full.Stats)
+	inc, err := EvalIncrement(reachProg(), full.DB, added, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("EvalIncrement", inc.Stats)
 }

@@ -43,8 +43,8 @@ package faurelog
 // (written-order emits them, the eager prune or the final prune drops
 // them, and they can never absorb or outlive a satisfiable tuple), so
 // final tables, dumps and verdicts are bit-for-bit identical with the
-// planner on or off, at any worker count. Only speculative-work
-// counters (pruned, sat calls, probes) may differ.
+// planner on or off. Only speculative-work counters (pruned, sat
+// calls, probes) may differ.
 
 import (
 	"sort"
@@ -199,7 +199,7 @@ const groupShift = 40
 // order: discovery in plan order, replay and emission in written
 // order (see the package comment's determinism argument). order is the
 // planned permutation of the plan's positive slots.
-func (e *engine) runPlanned(p *rulePlan, deltaTuples []ctable.Tuple, order []int, emit emitFn) error {
+func (e *engine) runPlanned(p *rulePlan, deltaTuples []ctable.Tuple, order []int, sink func(string, ctable.Tuple)) error {
 	nPos := p.nPos
 	disc := p.discoveryOrder(order)
 	rels := e.rels(p)
@@ -330,7 +330,7 @@ func (e *engine) runPlanned(p *rulePlan, deltaTuples []ctable.Tuple, order []int
 		if i > 0 {
 			cStart, sStart = condEnd[i-1], srcEnd[i-1]
 		}
-		if err := emit(p, slotBuf[i*ns:(i+1)*ns], condBuf[cStart:condEnd[i]], srcBuf[sStart:srcEnd[i]]); err != nil {
+		if err := e.emit(p, slotBuf[i*ns:(i+1)*ns], condBuf[cStart:condEnd[i]], srcBuf[sStart:srcEnd[i]], sink); err != nil {
 			return err
 		}
 	}

@@ -81,9 +81,9 @@ func TestPlanTiesKeepWrittenOrder(t *testing.T) {
 	}
 }
 
-// planParity evaluates the program with the planner on and off (and,
-// when workers > 1, in parallel) and requires identical dumps.
-func planParity(t *testing.T, progSrc, dbSrc string, workers int) {
+// planParity evaluates the program with the planner on and off and
+// requires identical dumps.
+func planParity(t *testing.T, progSrc, dbSrc string) {
 	t.Helper()
 	prog, err := Parse(progSrc)
 	if err != nil {
@@ -93,24 +93,15 @@ func planParity(t *testing.T, progSrc, dbSrc string, workers int) {
 	if err != nil {
 		t.Fatalf("ParseDatabase: %v", err)
 	}
-	run := func(noPlan bool, w int) string {
-		res, err := Eval(prog, db, Options{NoPlan: noPlan, Workers: w})
+	run := func(noPlan bool) string {
+		res, err := Eval(prog, db, Options{NoPlan: noPlan})
 		if err != nil {
-			t.Fatalf("Eval(noPlan=%v workers=%d): %v", noPlan, w, err)
+			t.Fatalf("Eval(noPlan=%v): %v", noPlan, err)
 		}
 		return dumpResult(res)
 	}
-	base := run(true, 1)
-	if got := run(false, 1); got != base {
-		t.Errorf("planner changed sequential results\n-- no-plan --\n%s-- planned --\n%s", base, got)
-	}
-	if workers > 1 {
-		if got := run(false, workers); got != base {
-			t.Errorf("planner changed parallel results (workers=%d)\n-- no-plan --\n%s-- planned --\n%s", workers, base, got)
-		}
-		if got := run(true, workers); got != base {
-			t.Errorf("no-plan parallel differs from sequential (workers=%d)", workers)
-		}
+	if base, got := run(true), run(false); got != base {
+		t.Errorf("planner changed results\n-- no-plan --\n%s-- planned --\n%s", base, got)
 	}
 }
 
@@ -124,7 +115,7 @@ func TestPlannedParityMultiJoinCVars(t *testing.T) {
 		mix(1, 10). mix($a, 20). mix(2, 30). mix(1, 40). mix($b, 50). mix(3, 60).
 		src(1). src(2). src($a).
 		ext(10, 7). ext(20, 7). ext(30, 8). ext(40, 8). ext(50, 9). ext(60, 9).
-	`, 4)
+	`)
 }
 
 // Recursive rule with a pinned delta plus a cheap filter literal the
@@ -137,7 +128,7 @@ func TestPlannedParityRecursiveDelta(t *testing.T) {
 		var $e in {2, 3}.
 		edge(1, 2). edge(2, 3). edge(3, 4). edge($e, 5). edge(4, 6).
 		hub(2). hub(3). hub(4). hub(5).
-	`, 4)
+	`)
 }
 
 // Negated literal rides the planned rule: its condition is rebuilt at
@@ -149,7 +140,7 @@ func TestPlannedParityNegation(t *testing.T) {
 		node(1). node(2).
 		link(1, 10). link(1, 20). link(2, 30). link(2, 40). link(1, 30).
 		bad(20). bad($u).
-	`, 4)
+	`)
 }
 
 // The ablation knobs must not break parity: deferred pruning and

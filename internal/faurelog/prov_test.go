@@ -9,42 +9,36 @@ import (
 	"faure/internal/prov"
 )
 
-// TestParallelProvenanceDeterminism: the canonical provenance dump —
-// every live edge's tuple, rule, stratum/round and parents, worker
-// attribution excluded — must be byte-identical at any worker count,
-// because edges are recorded only in the serial commit path the merge
-// replays in sequential emission order.
-func TestParallelProvenanceDeterminism(t *testing.T) {
-	for progName, src := range parallelPrograms {
+// TestProvenanceDeterminism: the canonical provenance dump — every
+// live edge's tuple, rule, stratum/round and parents — must be
+// byte-identical across runs, because edges are recorded only at
+// commit, in emission order.
+func TestProvenanceDeterminism(t *testing.T) {
+	for progName, src := range condPrograms {
 		prog := MustParse(src)
 		db := condGraph(t, 18)
-		recSeq := prov.NewRecorder(0)
-		seq, err := Eval(prog, db, Options{Workers: 1, Prov: recSeq})
-		if err != nil {
-			t.Fatalf("%s seq: %v", progName, err)
+		run := func() (string, Stats) {
+			rec := prov.NewRecorder(0)
+			res, err := Eval(prog, db, Options{Prov: rec})
+			if err != nil {
+				t.Fatalf("%s: %v", progName, err)
+			}
+			if res.Stats.ProvEdges == 0 || res.Stats.ProvEdges != rec.Stats().Recorded {
+				t.Fatalf("%s: stats ProvEdges=%d, recorder %d", progName, res.Stats.ProvEdges, rec.Stats().Recorded)
+			}
+			return prov.NewExplainer(rec, res.DB).Dump(), res.Stats
 		}
-		want := prov.NewExplainer(recSeq, seq.DB).Dump()
+		want, first := run()
 		if want == "" {
 			t.Fatalf("%s: no provenance recorded", progName)
 		}
-		if seq.Stats.ProvEdges == 0 || seq.Stats.ProvEdges != recSeq.Stats().Recorded {
-			t.Fatalf("%s: stats ProvEdges=%d, recorder %d", progName, seq.Stats.ProvEdges, recSeq.Stats().Recorded)
+		got, again := run()
+		if got != want {
+			t.Fatalf("%s: provenance differs between runs\nfirst:\n%s\nsecond:\n%s", progName, want, got)
 		}
-		for _, workers := range []int{2, 8} {
-			recPar := prov.NewRecorder(0)
-			par, err := Eval(prog, db, Options{Workers: workers, Prov: recPar})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", progName, workers, err)
-			}
-			got := prov.NewExplainer(recPar, par.DB).Dump()
-			if got != want {
-				t.Fatalf("%s workers=%d: provenance diverges from sequential\nseq:\n%s\npar:\n%s",
-					progName, workers, want, got)
-			}
-			if par.Stats.ProvEdges != seq.Stats.ProvEdges || par.Stats.ProvParents != seq.Stats.ProvParents {
-				t.Errorf("%s workers=%d: prov stats (%d,%d) != seq (%d,%d)", progName, workers,
-					par.Stats.ProvEdges, par.Stats.ProvParents, seq.Stats.ProvEdges, seq.Stats.ProvParents)
-			}
+		if again.ProvEdges != first.ProvEdges || again.ProvParents != first.ProvParents {
+			t.Errorf("%s: prov stats (%d,%d) != first run's (%d,%d)", progName,
+				again.ProvEdges, again.ProvParents, first.ProvEdges, first.ProvParents)
 		}
 	}
 }
@@ -53,7 +47,7 @@ func TestParallelProvenanceDeterminism(t *testing.T) {
 // EDB leaves and checks negated parents render as negation leaves.
 func TestProvenanceExplainTree(t *testing.T) {
 	db := condGraph(t, 12)
-	prog := MustParse(parallelPrograms["negation"])
+	prog := MustParse(condPrograms["negation"])
 	rec := prov.NewRecorder(0)
 	res, err := Eval(prog, db, Options{Prov: rec})
 	if err != nil {
@@ -122,7 +116,7 @@ func TestProvenanceExplainTree(t *testing.T) {
 // recent edges and counts what the ring overwrote.
 func TestProvenanceFlightRecorder(t *testing.T) {
 	db := condGraph(t, 18)
-	prog := MustParse(parallelPrograms["recursive"])
+	prog := MustParse(condPrograms["recursive"])
 	rec := prov.NewRecorder(16)
 	res, err := Eval(prog, db, Options{Prov: rec})
 	if err != nil {
@@ -148,7 +142,7 @@ func TestProvenanceFlightRecorder(t *testing.T) {
 // count (or pay for) provenance.
 func TestProvenanceDisabledZero(t *testing.T) {
 	db := condGraph(t, 12)
-	res, err := Eval(MustParse(parallelPrograms["recursive"]), db, Options{})
+	res, err := Eval(MustParse(condPrograms["recursive"]), db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

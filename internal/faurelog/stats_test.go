@@ -74,7 +74,7 @@ func TestCounterTable(t *testing.T) {
 	// One evaluation emits every entry under its metric name, with the
 	// value Stats reports; provenance counters only with a recorder.
 	db := condGraph(t, 8)
-	prog := MustParse(parallelPrograms["negation"])
+	prog := MustParse(condPrograms["negation"])
 	for _, rec := range []*prov.Recorder{nil, prov.NewRecorder(0)} {
 		m := obs.NewRegistry()
 		res, err := Eval(prog, db, Options{Observer: m, Prov: rec})

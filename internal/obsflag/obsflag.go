@@ -54,7 +54,6 @@ type Flags struct {
 	timeout   *time.Duration
 	maxSteps  *int64
 	maxTuples *int64
-	parallel  *int
 	noPlan    *bool
 	logJSON   *bool
 	logLevel  *string
@@ -74,16 +73,11 @@ func Register(fs *flag.FlagSet) *Flags {
 	f.timeout = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited); exceeding it degrades to a partial result and exit code 3")
 	f.maxSteps = fs.Int64("max-solver-steps", 0, "solver search-step budget (0 = unlimited)")
 	f.maxTuples = fs.Int64("max-tuples", 0, "derived-tuple budget (0 = unlimited)")
-	f.parallel = fs.Int("parallel", 1, "evaluation worker goroutines (results are identical at any count; 1 = sequential)")
 	f.noPlan = fs.Bool("no-plan", false, "disable cost-guided join planning and evaluate rule bodies in written order (results are identical either way)")
 	f.logJSON = fs.Bool("log-json", false, "emit structured logs as JSON lines instead of logfmt text")
 	f.logLevel = fs.String("log-level", "warn", "minimum structured-log level: debug, info, warn or error")
 	return f
 }
-
-// Workers returns the requested evaluation worker count (the -parallel
-// flag; 1 when unset).
-func (f *Flags) Workers() int { return *f.parallel }
 
 // NoPlan reports whether cost-guided join planning was disabled (the
 // -no-plan escape hatch).

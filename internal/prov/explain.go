@@ -16,11 +16,9 @@ type Tree struct {
 	Tuple string `json:"tuple"`
 	Cond  string `json:"cond,omitempty"`
 	Rule  string `json:"rule,omitempty"`
-	// Stratum/Round locate the commit in the fixpoint; Worker is the
-	// preparing worker's index (schedule-dependent, diagnostic only).
+	// Stratum/Round locate the commit in the fixpoint.
 	Stratum int  `json:"stratum,omitempty"`
 	Round   int  `json:"round,omitempty"`
-	Worker  int  `json:"worker,omitempty"`
 	Negated bool `json:"negated,omitempty"`
 	// EDB marks a leaf with no recorded derivation: an input fact (or,
 	// in flight-recorder mode, a tuple whose edge the ring evicted).
@@ -146,7 +144,7 @@ func (x *Explainer) explain(pred string, tp ctable.Tuple, negated bool, path map
 		t.Truncated = true
 		return t
 	}
-	t.Rule, t.Stratum, t.Round, t.Worker = edge.Rule, edge.Stratum, edge.Round, edge.Worker
+	t.Rule, t.Stratum, t.Round = edge.Rule, edge.Stratum, edge.Round
 	path[key] = true
 	for _, p := range edge.Parents {
 		var ptp ctable.Tuple
@@ -185,9 +183,8 @@ func (x *Explainer) ExplainAll(pred string) []*Tree {
 // Dump renders the recorder's live edges in a canonical, run-stable
 // form: one line per edge — tuple, rule, stratum/round and parents,
 // all string-rendered (raw identities and condition ids are process-
-// local) — sorted lexicographically. Worker attribution is excluded:
-// it is the only schedule-dependent field, and leaving it out is what
-// makes the dump bit-identical at any worker count.
+// local) — sorted lexicographically, so two runs that record the same
+// edges dump the same bytes.
 func (x *Explainer) Dump() string {
 	var lines []string
 	x.rec.Each(func(e Edge) bool {

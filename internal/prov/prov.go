@@ -1,14 +1,12 @@
 // Package prov implements derivation provenance for the fauré-log
 // engine: an append-only record of how every committed tuple was first
-// derived — the rule, the parent tuples (by their 128-bit identities),
-// the stratum/round of the commit and the worker that prepared it.
+// derived — the rule, the parent tuples (by their 128-bit identities)
+// and the stratum/round of the commit.
 //
 // The recorder is designed around the engine's determinism contract:
-// edges are recorded only inside the serial commit path (the same path
-// the parallel merge replays in sequential emission order), so the
-// recorded rule, parents and round of every tuple are bit-identical at
-// any worker count. Only the worker attribution is schedule-dependent;
-// the canonical dump therefore excludes it (see Explainer.Dump).
+// edges are recorded only at commit, in emission order, so the
+// recorded rule, parents and round of every tuple are as deterministic
+// as the result tables (see Explainer.Dump for the canonical form).
 //
 // Memory is bounded on demand: capacity 0 keeps every edge (memory
 // proportional to the number of derived tuples); capacity N > 0 runs
@@ -56,10 +54,6 @@ type Edge struct {
 	Rule    string
 	Stratum int
 	Round   int
-	// Worker is the index of the evaluation worker that prepared the
-	// emission (0 on a sequential run). Diagnostic only: unlike every
-	// other field it depends on the parallel schedule.
-	Worker  int
 	Parents []Parent
 }
 
@@ -88,7 +82,6 @@ type edgeRec struct {
 	rule    int32
 	stratum int32
 	round   int32
-	worker  int32
 	poff    uint32
 	plen    uint32
 }
@@ -110,8 +103,7 @@ type ref struct {
 }
 
 // Recorder accumulates provenance edges. It is safe for concurrent
-// use; the engine only ever records from its serial commit path, but
-// HTTP explain handlers read while later evaluations record.
+// use: HTTP explain handlers read while later evaluations record.
 type Recorder struct {
 	mu    sync.Mutex
 	cap   int // 0 = unbounded; > 0 = ring of that many edges
@@ -184,7 +176,7 @@ func (r *Recorder) internPredLocked(pred string) uint32 {
 // derivation of a tuple wins (matching the engine's dedup: later
 // re-derivations never reach the relation store either). ruleID must
 // come from InternRule on the same recorder.
-func (r *Recorder) Record(pred string, key ctable.TupleID, ruleID int32, stratum, round, worker int, srcs []SourceRef) {
+func (r *Recorder) Record(pred string, key ctable.TupleID, ruleID int32, stratum, round int, srcs []SourceRef) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	predID := r.internPredLocked(pred)
@@ -214,7 +206,6 @@ func (r *Recorder) Record(pred string, key ctable.TupleID, ruleID int32, stratum
 		rule:    ruleID,
 		stratum: int32(stratum),
 		round:   int32(round),
-		worker:  int32(worker),
 		poff:    poff,
 		plen:    uint32(len(srcs)),
 	}
@@ -341,7 +332,6 @@ func (r *Recorder) exportLocked(rec edgeRec) Edge {
 		Rule:    r.rules[rec.rule],
 		Stratum: int(rec.stratum),
 		Round:   int(rec.round),
-		Worker:  int(rec.worker),
 		Parents: parents,
 	}
 }

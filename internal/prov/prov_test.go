@@ -19,8 +19,8 @@ func tup(v int) ctable.Tuple {
 func TestRecorderFirstDerivationWins(t *testing.T) {
 	r := NewRecorder(0)
 	key := tup(1).Identity()
-	r.Record("p", key, r.InternRule("rule-a"), 0, 0, 0, nil)
-	r.Record("p", key, r.InternRule("rule-b"), 0, 1, 3, nil)
+	r.Record("p", key, r.InternRule("rule-a"), 0, 0, nil)
+	r.Record("p", key, r.InternRule("rule-b"), 0, 1, nil)
 	e, ok := r.Lookup("p", key)
 	if !ok {
 		t.Fatal("edge not found")
@@ -38,7 +38,7 @@ func TestRecorderParentsAndNegSideTable(t *testing.T) {
 	parent := tup(10)
 	negPat := ctable.NewTuple([]cond.Term{cond.Int(7)}, cond.Compare(cond.CVar("x"), cond.Eq, cond.Int(1)))
 	key := tup(1).Identity()
-	r.Record("q", key, r.InternRule("q :- p, not r."), 2, 3, 1, []SourceRef{
+	r.Record("q", key, r.InternRule("q :- p, not r."), 2, 3, []SourceRef{
 		{Pred: "p", Key: parent.Identity()},
 		{Pred: "r", Key: negPat.Identity(), Negated: true, Tuple: negPat},
 	})
@@ -49,7 +49,7 @@ func TestRecorderParentsAndNegSideTable(t *testing.T) {
 	if len(e.Parents) != 2 || e.Parents[0].Pred != "p" || !e.Parents[1].Negated {
 		t.Fatalf("parents: %+v", e.Parents)
 	}
-	if e.Stratum != 2 || e.Round != 3 || e.Worker != 1 {
+	if e.Stratum != 2 || e.Round != 3 {
 		t.Fatalf("edge coordinates: %+v", e)
 	}
 	got, ok := r.NegTuple("r", negPat.Identity())
@@ -62,7 +62,7 @@ func TestRecorderRingEviction(t *testing.T) {
 	const capacity = 4
 	r := NewRecorder(capacity)
 	for i := 0; i < 10; i++ {
-		r.Record("p", tup(i).Identity(), r.InternRule("r"), 0, i, 0, []SourceRef{{Pred: "e", Key: tup(100 + i).Identity()}})
+		r.Record("p", tup(i).Identity(), r.InternRule("r"), 0, i, []SourceRef{{Pred: "e", Key: tup(100 + i).Identity()}})
 	}
 	if got := r.Len(); got != capacity {
 		t.Fatalf("ring holds %d edges, want %d", got, capacity)
@@ -97,7 +97,7 @@ func TestRecorderArenaCompaction(t *testing.T) {
 	// Enough eviction traffic (with parents) to trigger compaction
 	// several times over; the live window must stay intact throughout.
 	for i := 0; i < 4000; i++ {
-		r.Record("p", tup(i).Identity(), r.InternRule("r"), 0, i, 0, []SourceRef{
+		r.Record("p", tup(i).Identity(), r.InternRule("r"), 0, i, []SourceRef{
 			{Pred: "e", Key: tup(100000 + i).Identity()},
 			{Pred: "f", Key: tup(200000 + i).Identity()},
 		})
@@ -133,7 +133,7 @@ func TestExplainerTreeAndDump(t *testing.T) {
 
 	r := NewRecorder(0)
 	edgeTp := edge.Tuples[0]
-	r.Record("reach", base.Identity(), r.InternRule("reach(a, b) :- edge(a, b)."), 0, 0, 0,
+	r.Record("reach", base.Identity(), r.InternRule("reach(a, b) :- edge(a, b)."), 0, 0,
 		[]SourceRef{{Pred: "edge", Key: edgeTp.Identity()}})
 
 	x := NewExplainer(r, db)
@@ -161,7 +161,7 @@ func TestExplainerHTTPHandler(t *testing.T) {
 	p.MustInsert(nil, cond.Int(1))
 	db.AddTable(p)
 	r := NewRecorder(0)
-	r.Record("p", p.Tuples[0].Identity(), r.InternRule("p(x) :- q(x)."), 0, 0, 0, nil)
+	r.Record("p", p.Tuples[0].Identity(), r.InternRule("p(x) :- q(x)."), 0, 0, nil)
 	h := NewExplainer(r, db).HTTPHandler()
 
 	// Index: table list + stats.

@@ -10,10 +10,10 @@ import (
 	"faure/internal/ctable"
 )
 
-// TestConcurrentReads exercises the phased concurrency contract the
-// parallel engine relies on: many goroutines probing and scanning a
-// frozen relation must not race (counters are atomic, indexes are
-// read-only). Run with -race.
+// TestConcurrentReads exercises the package's phased concurrency
+// contract: many goroutines probing and scanning a frozen relation must
+// not race (counters are atomic, indexes are read-only). Run with
+// -race.
 func TestConcurrentReads(t *testing.T) {
 	r := NewRelation("fwd", 2)
 	for i := 0; i < 64; i++ {

@@ -21,10 +21,10 @@
 // builds of one relation serialize on a per-relation lock and publish
 // the finished index atomically, so concurrent first probes of the same
 // column build it once and every reader sees either no index or a
-// complete one. The parallel evaluation engine relies on exactly this
-// phased discipline — workers read a frozen store during a round, the
-// coordinator writes only at iteration barriers. The probe/scan
-// counters are atomic so concurrent readers do not race on them.
+// complete one. A caller sharing a store across goroutines must
+// therefore phase its use: write only while nothing reads. The
+// probe/scan counters are atomic so concurrent readers do not race on
+// them.
 package relstore
 
 import (
@@ -55,8 +55,8 @@ type Relation struct {
 	// false.
 	ids map[ctable.TupleID]struct{}
 
-	// Stats; atomic because probes and scans are served concurrently by
-	// the parallel engine's workers. Fallbacks are Candidates calls that
+	// Stats; atomic because reads may run concurrently (see the package
+	// concurrency contract). Fallbacks are Candidates calls that
 	// degraded to a full scan (c-variable key, out-of-range column) —
 	// counted apart from deliberate All() scans so a probe hit ratio
 	// over these counters is honest about where index lookups silently

@@ -66,11 +66,9 @@ type Config struct {
 	// at publish (read back by consistency tests and /v1/generation).
 	// Costs one dump per update; off by default.
 	Checksum bool
-	// Workers / NoPlan are passed to every evaluation (results are
-	// bit-identical at any setting; see the engine's determinism
-	// contract).
-	Workers int
-	NoPlan  bool
+	// NoPlan is passed to every evaluation (results are bit-identical
+	// either way; see the engine's determinism contract).
+	NoPlan bool
 	// Obs receives the server's metrics and spans (nil disables):
 	// serve.generation / serve.inflight / serve.queue gauges,
 	// serve.update_* counters, per-endpoint latency distributions.
@@ -276,7 +274,7 @@ func (s *Server) Replayed() uint64 { return s.replayed.Load() }
 // evalOptions assembles the engine options for one evaluation under
 // the given budget.
 func (s *Server) evalOptions(bud *budget.B) faurelog.Options {
-	opts := faurelog.Options{Workers: s.cfg.Workers, NoPlan: s.cfg.NoPlan, Budget: bud}
+	opts := faurelog.Options{NoPlan: s.cfg.NoPlan, Budget: bud}
 	if s.obsOn {
 		opts.Observer = s.cfg.Obs
 	}

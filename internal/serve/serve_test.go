@@ -449,19 +449,6 @@ func TestConcurrentReadersSeeConsistentGenerations(t *testing.T) {
 	}
 }
 
-// TestWorkerParity: the database after the full update stream is
-// bit-identical whether evaluations ran with 1 worker or 8.
-func TestWorkerParity(t *testing.T) {
-	s1 := newTestServer(t, func(c *Config) { c.Workers = 1 })
-	s8 := newTestServer(t, func(c *Config) { c.Workers = 8 })
-	applyStream(t, s1)
-	applyStream(t, s8)
-	d1, d8 := s1.Current().CanonicalDump(), s8.Current().CanonicalDump()
-	if d1 != d8 {
-		t.Errorf("1-worker and 8-worker streams diverged:\n--- 1 ---\n%s--- 8 ---\n%s", d1, d8)
-	}
-}
-
 // TestShutdownDrainsQueue: updates accepted before Shutdown are
 // applied and journaled; updates after are refused.
 func TestShutdownDrains(t *testing.T) {

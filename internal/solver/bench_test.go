@@ -41,7 +41,7 @@ func BenchmarkSolverMemo(b *testing.B) {
 }
 
 // BenchmarkSolverCold measures the full search on a fresh solver each
-// round (memo flushed), dominated by residual construction — which now
+// round (empty cache), dominated by residual construction — which now
 // re-interns formulas instead of rebuilding them.
 func BenchmarkSolverCold(b *testing.B) {
 	f, doms := benchFormula(8)

@@ -158,10 +158,8 @@ func (s *Solver) fdApplicable(f *cond.Formula) bool {
 // budget, so a retry under a fresh budget resumes where it left off.
 func (s *Solver) compileNode(f *cond.Formula) (*fdTable, error) {
 	key := f.ID()
-	if e, own := s.lookupAny(key); e != nil && e.c.fd != nil {
-		if own {
-			s.pin(e)
-		}
+	if e, ok := s.cache.get(key); ok && e.c.fd != nil {
+		s.pin(e)
 		return e.c.fd, nil
 	}
 	if err := s.bud.SolverStep(); err != nil {

@@ -76,7 +76,7 @@ func TestSatisfiableFromUnsatBase(t *testing.T) {
 	if ext == base {
 		t.Fatal("extension collapsed into the base; test is vacuous")
 	}
-	s.ResetStats()
+	resetStats(s)
 	sat, err := s.SatisfiableFrom(ext, base)
 	if err != nil || sat {
 		t.Fatalf("SatisfiableFrom = %v, %v; want unsat", sat, err)
@@ -100,7 +100,7 @@ func TestSatisfiableFromWitnessReplay(t *testing.T) {
 	// The new conjunct is over the same variables, so the witness
 	// x=1,y=0 forces it: ¬(x=1 ∧ y=1) is true under the witness.
 	ext := cond.And(base, cond.Not(cond.And(atomEq("x", 1), atomEq("y", 1))))
-	s.ResetStats()
+	resetStats(s)
 	sat, err := s.SatisfiableFrom(ext, base)
 	if err != nil || !sat {
 		t.Fatalf("SatisfiableFrom = %v, %v; want sat", sat, err)
@@ -117,7 +117,7 @@ func TestValidFromCertificate(t *testing.T) {
 	s := New(boolDoms("x"))
 	tautology := cond.Or(atomEq("x", 0), atomEq("x", 1))
 	mustSat(t, s, tautology)
-	s.ResetStats()
+	resetStats(s)
 	ok, err := s.Valid(tautology)
 	if err != nil || !ok {
 		t.Fatalf("Valid = %v, %v; want valid", ok, err)
@@ -127,7 +127,7 @@ func TestValidFromCertificate(t *testing.T) {
 	}
 	falsifiable := atomEq("x", 1)
 	mustSat(t, s, falsifiable)
-	s.ResetStats()
+	resetStats(s)
 	ok, err = s.Valid(falsifiable)
 	if err != nil || ok {
 		t.Fatalf("Valid = %v, %v; want falsifiable", ok, err)
@@ -161,9 +161,6 @@ func TestPinnedEvictionSkip(t *testing.T) {
 		if _, ok := cs.get(k); !ok {
 			t.Fatalf("key %d missing after all-pinned insert", k)
 		}
-	}
-	if cs.evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", cs.evictions)
 	}
 }
 
@@ -221,20 +218,20 @@ func TestBudgetTripMidCompile(t *testing.T) {
 	}
 }
 
-// TestMemoEvictionsCounter: a bounded shared memo counts its clock
-// evictions, which the engine surfaces as MemoEvictions.
+// TestMemoEvictionsCounter: a bounded certificate cache counts its
+// clock evictions in Stats.Evictions, which the engine surfaces as
+// MemoEvictions.
 func TestMemoEvictionsCounter(t *testing.T) {
-	memo := NewMemo(4)
 	s := New(Domains{})
+	s.SetCacheLimit(4)
 	for i := 0; i < 10; i++ {
 		mustSat(t, s, distinctFormula(i))
 	}
-	s.FlushMemo(memo)
-	if memo.Len() != 4 {
-		t.Fatalf("memo len = %d, want the limit 4", memo.Len())
+	if got := s.cache.len(); got != 4 {
+		t.Fatalf("cache len = %d, want the limit 4", got)
 	}
-	if memo.Evictions() != 6 {
-		t.Fatalf("memo evictions = %d, want 6", memo.Evictions())
+	if got := s.Stats().Evictions; got != 6 {
+		t.Fatalf("evictions = %d, want 6", got)
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"faure/internal/cond"
 )
 
+// resetStats zeroes a solver's counters, keeping its cache.
+func resetStats(s *Solver) { s.stats = Stats{} }
+
 // distinctFormula builds the i-th member of a family of semantically
 // distinct formulas over one unbounded variable (x = i).
 func distinctFormula(i int) *cond.Formula {
@@ -26,7 +29,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// The most recent formulas must still be cached: re-deciding the
 	// last `limit` entries should be pure hits.
-	s.ResetStats()
+	resetStats(s)
 	for i := 3 * limit; i < 4*limit; i++ {
 		mustSat(t, s, distinctFormula(i))
 	}
@@ -35,7 +38,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// The oldest ones were evicted: deciding them again is a miss that
 	// inserts (evicting in turn), never an error or a refused insert.
-	s.ResetStats()
+	resetStats(s)
 	mustSat(t, s, distinctFormula(0))
 	if st := s.Stats(); st.CacheHits != 0 {
 		t.Fatalf("evicted formula unexpectedly hit the cache")
@@ -61,83 +64,6 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestSharedMemo exercises the phased sharing protocol the parallel
-// engine uses: worker solvers flush their memo entries into a shared
-// Memo at a barrier, and other workers then answer those formulas from
-// the shared memo without re-deriving them.
-func TestSharedMemo(t *testing.T) {
-	memo := NewMemo(0)
-	a := New(Domains{})
-	b := New(Domains{})
-	a.SetSharedMemo(memo)
-	b.SetSharedMemo(memo)
-
-	const n = 16
-	for i := 0; i < n; i++ {
-		mustSat(t, a, distinctFormula(i))
-	}
-	// Barrier: a's entries move into the shared memo.
-	if moved := a.FlushMemo(memo); moved != n {
-		t.Fatalf("FlushMemo moved %d entries, want %d", moved, n)
-	}
-	if memo.Len() != n {
-		t.Fatalf("memo holds %d entries, want %d", memo.Len(), n)
-	}
-	if a.cache.len() != 0 {
-		t.Fatalf("flush left %d entries in the local cache", a.cache.len())
-	}
-	// b answers every one of them from the shared memo.
-	for i := 0; i < n; i++ {
-		mustSat(t, b, distinctFormula(i))
-	}
-	if st := b.Stats(); st.CacheHits != n {
-		t.Fatalf("shared memo served %d hits, want %d", st.CacheHits, n)
-	}
-	// b did zero search work for them.
-	if st := b.Stats(); st.EnumNodes != 0 {
-		t.Fatalf("b searched %d nodes despite shared hits", st.EnumNodes)
-	}
-	// Flushing b (which cached nothing locally beyond shared hits) is a
-	// no-op, and re-flushing a duplicate entry does not double-insert.
-	mustSat(t, a, distinctFormula(0)) // hit from shared, nothing local
-	if moved := a.FlushMemo(memo); moved != 0 {
-		t.Fatalf("duplicate flush moved %d entries, want 0", moved)
-	}
-	if memo.Len() != n {
-		t.Fatalf("memo grew to %d after duplicate flush", memo.Len())
-	}
-}
-
-// TestSharedMemoEviction checks the shared memo evicts at its own
-// bound rather than rejecting flushed entries.
-func TestSharedMemoEviction(t *testing.T) {
-	memo := NewMemo(4)
-	s := New(Domains{})
-	for i := 0; i < 10; i++ {
-		mustSat(t, s, distinctFormula(i))
-	}
-	s.FlushMemo(memo)
-	if memo.Len() != 4 {
-		t.Fatalf("bounded memo holds %d entries, want 4", memo.Len())
-	}
-}
-
-// TestStatsAdd checks the merge arithmetic the parallel engine relies
-// on at barriers.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{SatCalls: 1, CacheHits: 2, CertHits: 3, FastPathHits: 4, FDNodes: 5, EnumNodes: 6, DPLLNodes: 7, Evictions: 8}
-	a.Add(Stats{SatCalls: 10, CacheHits: 20, CertHits: 30, FastPathHits: 40, FDNodes: 50, EnumNodes: 60, DPLLNodes: 70, Evictions: 80})
-	want := Stats{SatCalls: 11, CacheHits: 22, CertHits: 33, FastPathHits: 44, FDNodes: 55, EnumNodes: 66, DPLLNodes: 77, Evictions: 88}
-	if a != want {
-		t.Fatalf("Stats.Add = %+v, want %+v", a, want)
-	}
-	s := New(Domains{})
-	s.AddStats(want)
-	if s.Stats() != want {
-		t.Fatalf("AddStats = %+v, want %+v", s.Stats(), want)
-	}
-}
-
 // TestMemoKeysAreCanonical guards the assumption that distinct
 // formula values with equal keys share one memo slot.
 func TestMemoKeysAreCanonical(t *testing.T) {
@@ -151,7 +77,7 @@ func TestMemoKeysAreCanonical(t *testing.T) {
 		t.Fatalf("equal formulas with distinct keys: %q vs %q", f.Key(), g.Key())
 	}
 	mustSat(t, s, f)
-	s.ResetStats()
+	resetStats(s)
 	mustSat(t, s, g)
 	if st := s.Stats(); st.CacheHits != 1 {
 		t.Fatalf("structurally equal formula missed the cache (%d hits)", st.CacheHits)

@@ -72,7 +72,7 @@ type Domains map[string]Domain
 // Stats counts the work a solver has performed.
 type Stats struct {
 	SatCalls  int // top-level satisfiability decisions
-	CacheHits int // decisions answered from a cached certificate (own or shared)
+	CacheHits int // decisions answered from a cached certificate
 	// CertHits counts decisions concluded from a *related* certificate
 	// without search: a base condition's witness replayed over the
 	// extended formula (SatisfiableFrom), a child verdict propagated
@@ -98,33 +98,14 @@ func (s Stats) Searches() int {
 	return s.SatCalls - s.CacheHits - s.CertHits - s.FastPathHits
 }
 
-// Add accumulates other into s — the parallel engine merges each
-// worker solver's counters into the base solver's at iteration
-// barriers.
-func (s *Stats) Add(other Stats) {
-	s.SatCalls += other.SatCalls
-	s.CacheHits += other.CacheHits
-	s.CertHits += other.CertHits
-	s.FastPathHits += other.FastPathHits
-	s.FDNodes += other.FDNodes
-	s.EnumNodes += other.EnumNodes
-	s.DPLLNodes += other.DPLLNodes
-	s.Evictions += other.Evictions
-}
-
 // Solver decides conditions under a fixed domain map. It memoises
-// results by canonical formula key; one Solver is not safe for
-// concurrent use — the parallel engine gives each worker its own
-// instance, sharing decisions through a read-only Memo (see
-// SetSharedMemo).
+// results by canonical formula key. A Solver is not safe for
+// concurrent use; each evaluation creates its own.
 type Solver struct {
 	doms Domains
-	// cache holds this solver's own certificate entries; shared is an
-	// optional read-only snapshot of decisions merged from other solvers
-	// at the caller's barriers.
-	cache  certStore
-	shared *Memo
-	stats  Stats
+	// cache holds the solver's certificate entries.
+	cache certStore
+	stats Stats
 	// o receives per-call latency, cache hit rate, and condition-size
 	// distributions; obsOn gates every site so an unobserved solver
 	// pays one branch and no clock reads.
@@ -135,7 +116,7 @@ type Solver struct {
 	bud *budget.B
 	// noFast disables the compiled finite-domain fast path (ablation).
 	noFast bool
-	// pinned tracks own-cache entries the in-flight decision depends on
+	// pinned tracks cache entries the in-flight decision depends on
 	// (fd tables referenced by a compilation in progress); eviction
 	// skips them until the top-level call completes.
 	pinned []*certEntry
@@ -172,11 +153,10 @@ type certEntry struct {
 // (cond.Formula.ID) — process-local, so the store must never be
 // serialised; as a pure cache that is fine.
 type certStore struct {
-	limit     int
-	m         map[uint64]*certEntry
-	ring      []uint64 // insertion ring; ring[pos] is the next eviction candidate
-	pos       int
-	evictions int64
+	limit int
+	m     map[uint64]*certEntry
+	ring  []uint64 // insertion ring; ring[pos] is the next eviction candidate
+	pos   int
 }
 
 func newCertStore(limit int) certStore {
@@ -215,7 +195,6 @@ func (c *certStore) put(k uint64, e *certEntry) bool {
 		c.ring[c.pos] = k
 		c.pos = (c.pos + 1) % len(c.ring)
 		c.m[k] = e
-		c.evictions++
 		return true
 	}
 	// Every resident entry is pinned by the decision in flight: grow
@@ -235,36 +214,9 @@ func (c *certStore) reset(limit int) {
 	c.pos = 0
 }
 
-// Memo is a certificate store shared across solvers: per-worker
-// solvers look it up read-only while solving and flush their new
-// entries into it at iteration barriers. It is NOT internally
-// synchronised — the sharing discipline is phased: FlushMemo and
-// SetSharedMemo must not run concurrently with any solver that reads
-// the memo (the parallel engine flushes only between rounds, while no
-// worker is live). Shared entries are never mutated after the flush
-// that created them, so concurrent readers need no locks.
-type Memo struct {
-	store certStore
-}
-
-// DefaultCacheLimit bounds memo caches unless overridden.
+// DefaultCacheLimit bounds a solver's certificate cache unless
+// SetCacheLimit overrides it.
 const DefaultCacheLimit = 1 << 20
-
-// NewMemo returns an empty shared memo bounded to limit entries
-// (clock-evicted beyond that); limit <= 0 uses DefaultCacheLimit.
-func NewMemo(limit int) *Memo {
-	if limit <= 0 {
-		limit = DefaultCacheLimit
-	}
-	return &Memo{store: newCertStore(limit)}
-}
-
-// Len returns the number of memoised decisions.
-func (m *Memo) Len() int { return m.store.len() }
-
-// Evictions returns how many entries the memo's bounded store has
-// clock-evicted over its lifetime.
-func (m *Memo) Evictions() int64 { return m.store.evictions }
 
 // New returns a solver over the given domains. The map is captured by
 // reference; callers may keep registering variables before use but
@@ -310,57 +262,10 @@ func (s *Solver) SetFastPath(on bool) { s.noFast = !on }
 // recompile per call) with caching disabled.
 func (s *Solver) fastOn() bool { return !s.noFast && s.cache.limit > 0 }
 
-// SetSharedMemo attaches a shared memo consulted (read-only) when the
-// solver's own cache misses. Phased discipline: the memo must not be
-// flushed into while any solver holding it may be solving.
-func (s *Solver) SetSharedMemo(m *Memo) { s.shared = m }
-
-// FlushMemo moves this solver's certificate entries into m (subject to
-// m's eviction policy), clears the local cache, and returns how many
-// new entries were transferred. The parallel engine calls this per
-// worker at iteration barriers, while no worker goroutine is live; no
-// decision is in flight at a barrier, so pins are dropped rather than
-// transferred.
-func (s *Solver) FlushMemo(m *Memo) int {
-	n := 0
-	for k, e := range s.cache.m {
-		if _, ok := m.store.get(k); !ok {
-			m.store.put(k, &certEntry{c: e.c})
-			n++
-		}
-	}
-	s.cache.reset(s.cache.limit)
-	s.pinned = nil
-	return n
-}
-
-// AddStats merges another solver's counters into this one — worker
-// solvers fold into the base solver at iteration barriers.
-func (s *Solver) AddStats(other Stats) { s.stats.Add(other) }
-
 // Stats returns a copy of the solver's counters.
 func (s *Solver) Stats() Stats { return s.stats }
 
-// ResetStats zeroes the counters (the memo cache is kept).
-func (s *Solver) ResetStats() { s.stats = Stats{} }
-
-// lookupAny returns the certificate entry for key from the solver's
-// own cache or, failing that, the shared memo. own reports which store
-// it came from: shared entries are read concurrently by other workers
-// and must never be mutated or pinned — upgrades go to the own cache.
-func (s *Solver) lookupAny(key uint64) (e *certEntry, own bool) {
-	if e, ok := s.cache.get(key); ok {
-		return e, true
-	}
-	if s.shared != nil {
-		if e, ok := s.shared.store.get(key); ok {
-			return e, false
-		}
-	}
-	return nil, false
-}
-
-// store records c under key in the solver's own cache, merging with
+// store records c under key in the solver's cache, merging with
 // any existing entry: only undecided fields are filled in, so a
 // validity upgrade never clobbers a witness or a compiled fd table.
 func (s *Solver) store(key uint64, c cert) {
@@ -390,7 +295,7 @@ func (s *Solver) store(key uint64, c cert) {
 	}
 }
 
-// pin marks an own-cache entry as in-flight so eviction skips it; pins
+// pin marks a cache entry as in-flight so eviction skips it; pins
 // last until the enclosing top-level decision completes.
 func (s *Solver) pin(e *certEntry) {
 	if !e.pinned {
@@ -451,7 +356,7 @@ func (s *Solver) satisfy(f, base *cond.Formula) (bool, error) {
 		s.o.Observe("solver.condition_atoms", float64(f.NAtoms()))
 	}
 	key := f.ID()
-	if e, _ := s.lookupAny(key); e != nil && e.c.decidedSat() {
+	if e, ok := s.cache.get(key); ok && e.c.decidedSat() {
 		s.stats.CacheHits++
 		if s.obsOn {
 			s.o.Count("solver.cache_hits", 1)
@@ -485,7 +390,7 @@ func (s *Solver) decide(f, base *cond.Formula) cert {
 	// every extension of it. The witness replay is sound independent of
 	// the contract — EvalPartial checks f itself.
 	if base != nil && base != f {
-		if e, _ := s.lookupAny(base.ID()); e != nil && e.c.err == nil {
+		if e, ok := s.cache.get(base.ID()); ok && e.c.err == nil {
 			if e.c.sat < 0 {
 				s.stats.CertHits++
 				s.countObs("solver.cert_hits")
@@ -543,18 +448,18 @@ func (s *Solver) propagate(f *cond.Formula) (cert, bool) {
 	switch f.Kind {
 	case cond.FAnd:
 		for _, sub := range f.Sub {
-			if e, _ := s.lookupAny(sub.ID()); e != nil && e.c.err == nil && e.c.sat < 0 {
+			if e, ok := s.cache.get(sub.ID()); ok && e.c.err == nil && e.c.sat < 0 {
 				return cert{sat: -1, valid: -1}, true
 			}
 		}
 	case cond.FOr:
 		for _, sub := range f.Sub {
-			if e, _ := s.lookupAny(sub.ID()); e != nil && e.c.err == nil && e.c.sat > 0 {
+			if e, ok := s.cache.get(sub.ID()); ok && e.c.err == nil && e.c.sat > 0 {
 				return cert{sat: 1, witness: e.c.witness}, true
 			}
 		}
 	case cond.FNot:
-		if e, _ := s.lookupAny(f.Sub[0].ID()); e != nil && e.c.err == nil {
+		if e, ok := s.cache.get(f.Sub[0].ID()); ok && e.c.err == nil {
 			switch {
 			case e.c.valid > 0: // ¬(valid) is unsat
 				return cert{sat: -1, valid: -1}, true
@@ -585,7 +490,7 @@ func (s *Solver) Valid(f *cond.Formula) (bool, error) {
 	case cond.FFalse:
 		return false, nil
 	}
-	if e, _ := s.lookupAny(f.ID()); e != nil && e.c.err == nil && e.c.valid != 0 {
+	if e, ok := s.cache.get(f.ID()); ok && e.c.err == nil && e.c.valid != 0 {
 		s.stats.SatCalls++
 		s.stats.CertHits++
 		s.countObs("solver.cert_hits")
@@ -598,7 +503,7 @@ func (s *Solver) Valid(f *cond.Formula) (bool, error) {
 	return !sat, err
 }
 
-// noteValid upgrades f's own-cache certificate with a validity
+// noteValid upgrades f's cached certificate with a validity
 // verdict; domains are non-empty, so valid also implies satisfiable.
 func (s *Solver) noteValid(f *cond.Formula, valid bool) {
 	if s.cache.limit <= 0 {

@@ -8,12 +8,12 @@ import (
 )
 
 // planWorkloads runs the Table 4 query chain plus the join-stress
-// workload with the given worker count and planner setting, returning
-// the canonical dump of every result database keyed by workload name.
-func planWorkloads(t *testing.T, workers int, noPlan bool) map[string]string {
+// workload with the given planner setting, returning the canonical
+// dump of every result database keyed by workload name.
+func planWorkloads(t *testing.T, noPlan bool) map[string]string {
 	t.Helper()
-	opts := faure.Options{Workers: workers, NoPlan: noPlan}
-	tag := fmt.Sprintf("workers=%d noPlan=%v", workers, noPlan)
+	opts := faure.Options{NoPlan: noPlan}
+	tag := fmt.Sprintf("noPlan=%v", noPlan)
 
 	out := map[string]string{}
 	r := faure.GenerateRIB(faure.RIBConfig{Prefixes: 80, PoolSize: 10, Seed: 3})
@@ -55,23 +55,14 @@ func planWorkloads(t *testing.T, workers int, noPlan bool) map[string]string {
 // planner may change how rule bodies are evaluated, never what they
 // produce. Every workload's result database — tuples, conditions and
 // row order — must be bit-for-bit identical with the planner on and
-// off, sequentially and with 8 workers.
+// off.
 func TestPlanDeterminism(t *testing.T) {
-	base := planWorkloads(t, 1, true) // written order, sequential
-	for _, cfg := range []struct {
-		workers int
-		noPlan  bool
-	}{
-		{1, false},
-		{8, true},
-		{8, false},
-	} {
-		got := planWorkloads(t, cfg.workers, cfg.noPlan)
-		for name, want := range base {
-			if got[name] != want {
-				t.Errorf("%s: tables diverge at workers=%d noPlan=%v from the written-order sequential run\nwant:\n%.2000s\ngot:\n%.2000s",
-					name, cfg.workers, cfg.noPlan, want, got[name])
-			}
+	written := planWorkloads(t, true)
+	planned := planWorkloads(t, false)
+	for name, want := range written {
+		if planned[name] != want {
+			t.Errorf("%s: planned tables diverge from the written-order run\nwant:\n%.2000s\ngot:\n%.2000s",
+				name, want, planned[name])
 		}
 	}
 }
