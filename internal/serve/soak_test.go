@@ -142,8 +142,12 @@ func TestServeSoak(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	// Update stream: chain inserts with unique ids; on an ambiguous
-	// failure the id is retried once (idempotency makes that safe).
+	// Update stream: inserts spread over four partitions (prefixes F0
+	// to F3), every third one also deleting the previous insert, so
+	// scoped splices of one and of two partitions, on the incremental
+	// and the full path, run against the concurrent readers. Ids are
+	// unique; on an ambiguous failure the same id and body are retried
+	// (idempotency makes that safe).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -155,7 +159,10 @@ func TestServeSoak(t *testing.T) {
 			default:
 			}
 			id := fmt.Sprintf("soak-%d", n)
-			body := fmt.Sprintf("+fwd(F0, %d, %d).\n", n, n+1)
+			body := fmt.Sprintf("+fwd(F%d, %d, %d).\n", n%4, n, n+1)
+			if n%3 == 0 {
+				body += fmt.Sprintf("-fwd(F%d, %d, %d).\n", (n-1)%4, n-1, n)
+			}
 			req, _ := http.NewRequest("POST", ts.URL+"/v1/update", strings.NewReader(body))
 			req.Header.Set("X-Faure-Update-Id", id)
 			resp, err := http.DefaultClient.Do(req)
