@@ -156,9 +156,10 @@ func BenchmarkServeUpdateInsert(b *testing.B) { benchUpdates(b, true, insertBody
 // benchmark.
 func BenchmarkServeUpdateInsertNoWAL(b *testing.B) { benchUpdates(b, false, insertBody) }
 
-// BenchmarkServeUpdateDelete: each op inserts and then deletes an
-// edge; the delete forces the full re-evaluation path, so this is the
-// worst-case update latency.
+// BenchmarkServeUpdateDelete: each op deletes the previous op's edge
+// and inserts a new one; the delete takes the full-evaluation path
+// (over the two prefixes it names), so this is the worst-case update
+// latency.
 func BenchmarkServeUpdateDelete(b *testing.B) {
 	benchUpdates(b, true, func(n int64) string {
 		return fmt.Sprintf("-fwd('bench/%d', %d, %d).\n+fwd('bench/%d', %d, %d).\n",
