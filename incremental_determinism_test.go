@@ -7,11 +7,13 @@ import (
 )
 
 // TestSolverCacheParity is the incremental solver's determinism
-// contract: certificate replay, DAG propagation and the compiled
-// finite-domain fast path change how conditions are decided, never
-// what the engine derives. The full Table 4 chain must be bit-for-bit
-// identical to a run with the certificate store disabled entirely (the
-// pure-search baseline).
+// contract: certificate replay, DAG propagation, the compiled
+// finite-domain fast path and the absorption set test change how
+// conditions are decided, never what the engine derives. The full
+// Table 4 chain, the join-stress query and ring reachability (the two
+// inputs whose absorption drops tuples) must be bit-for-bit identical
+// to a run with the certificate store disabled entirely: the
+// pure-search baseline, which also turns the set test off.
 func TestSolverCacheParity(t *testing.T) {
 	run := func(noCache bool) map[string]string {
 		t.Helper()
@@ -34,6 +36,23 @@ func TestSolverCacheParity(t *testing.T) {
 			t.Fatalf("noCache=%v q8: %v", noCache, err)
 		}
 		out["q8"] = dumpTables(q8.DB)
+		join, err := faure.Eval(faure.JoinStressProgram(), faure.JoinTopology(faure.JoinTopoConfig{Pods: 3, Fanout: 3, Seed: 1}), opts)
+		if err != nil {
+			t.Fatalf("noCache=%v join: %v", noCache, err)
+		}
+		out["join"] = dumpTables(join.DB)
+		ring, err := faure.Eval(faure.ReachabilityProgram(), faure.RingTopology(5).ForwardingTable("F0"), opts)
+		if err != nil {
+			t.Fatalf("noCache=%v ring: %v", noCache, err)
+		}
+		out["ring"] = dumpTables(ring.DB)
+		if !noCache && (join.Stats.Absorbed == 0 || ring.Stats.Absorbed == 0 ||
+			join.Stats.AbsorbSetHits != join.Stats.AbsorbProbes || ring.Stats.AbsorbSetHits != ring.Stats.AbsorbProbes) {
+			t.Errorf("the set test did not decide every absorbing probe: join %+v, ring %+v", join.Stats, ring.Stats)
+		}
+		if noCache && join.Stats.AbsorbSetHits+ring.Stats.AbsorbSetHits != 0 {
+			t.Errorf("the set test ran without the certificate store")
+		}
 		return out
 	}
 	want := run(false)

@@ -3,6 +3,7 @@ package cond
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -82,9 +83,14 @@ func TestInternKeyStable(t *testing.T) {
 
 // TestInternStatsCounters: constructing a brand-new formula counts a
 // miss and grows the live gauge; re-constructing it counts a hit.
+// internStatsRuns numbers TestInternStatsCounters' runs, so each run
+// (under -count=N too) builds a formula no earlier run interned.
+var internStatsRuns atomic.Int64
+
 func TestInternStatsCounters(t *testing.T) {
+	run := internStatsRuns.Add(1)
 	mk := func() *Formula {
-		return And(Compare(CVar("statvar1"), Eq, Int(17)), Compare(CVar("statvar2"), Gt, Int(40)))
+		return And(Compare(CVar("statvar1"), Eq, Int(run)), Compare(CVar("statvar2"), Gt, Int(40)))
 	}
 	before := InternStatsNow()
 	f := mk()

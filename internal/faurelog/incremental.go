@@ -82,12 +82,14 @@ seedLoop:
 		e.extraExport = append(e.extraExport, pred)
 		rel := e.store.Rel(pred)
 		if rel == nil {
-			arity := -1
-			if len(tuples) > 0 {
-				arity = len(tuples[0].Values)
-			}
-			if arity < 0 {
+			if len(tuples) == 0 {
 				continue
+			}
+			// A relation the program names takes its literals' arity, so
+			// a fact of another width is refused below.
+			arity, named := e.arity[pred]
+			if !named {
+				arity = len(tuples[0].Values)
 			}
 			rel = e.store.Ensure(pred, arity)
 			e.noteArity(pred, arity)

@@ -1,6 +1,7 @@
 package faurelog
 
 import (
+	"strings"
 	"testing"
 
 	"faure/internal/cond"
@@ -120,4 +121,29 @@ func TestLoadSharesInputWithoutWritingIt(t *testing.T) {
 	}
 	checkUntouched(t, "EvalIncrement edge", prevEdge.Tuples, beforeEdge, inc)
 	checkUntouched(t, "EvalIncrement reach", prevReach.Tuples, beforeReach, inc)
+}
+
+// TestNarrowTableRefused feeds a one-column fwd table to a program that
+// reads fwd with three columns. Eval and EvalIncrement refuse it with
+// an error naming the relation and both arities, instead of indexing
+// past the table's width in the matcher; EvalIncrement also refuses
+// one-column facts for a relation the program names but its previous
+// database lacks.
+func TestNarrowTableRefused(t *testing.T) {
+	prog := MustParse(`reach(a, b, f) :- fwd(a, b, f).`)
+	narrow := ctable.NewTuple([]cond.Term{cond.Str("F0")}, nil)
+	db := ctable.NewDatabase()
+	db.AddTable(spareTable("fwd", 1, []ctable.Tuple{narrow}))
+	const want = "relation fwd has arity 1, but the program uses it with arity 3"
+	if _, err := Eval(prog, db, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Eval: err = %v, want %q", err, want)
+	}
+	wide := ctable.NewTuple([]cond.Term{cond.Int(1), cond.Int(2), cond.Str("F0")}, nil)
+	if _, err := EvalIncrement(prog, db, map[string][]ctable.Tuple{"fwd": {wide}}, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("EvalIncrement: err = %v, want %q", err, want)
+	}
+	const wantFact = "inserted tuple arity 1, relation fwd has 3"
+	if _, err := EvalIncrement(prog, ctable.NewDatabase(), map[string][]ctable.Tuple{"fwd": {narrow}}, Options{}); err == nil || !strings.Contains(err.Error(), wantFact) {
+		t.Errorf("EvalIncrement of a narrow fact: err = %v, want %q", err, wantFact)
+	}
 }

@@ -38,11 +38,12 @@ type Stats struct {
 	SolverFastPathHits int64
 	SolverSearches     int64
 	MemoEvictions      int64
-	// AbsorbProbes counts absorption checks that actually reached the
-	// solver's Implies — the syntactic fast path answers the rest for
-	// free, so the gap between absorption candidates and probes is the
-	// fast path's hit count.
-	AbsorbProbes int64
+	// AbsorbProbes counts the semantic absorption checks: those the
+	// syntactic fast path could not answer. AbsorbSetHits counts the
+	// probes a condition group's cover decided as a set test, so
+	// AbsorbProbes − AbsorbSetHits reached the solver's Implies.
+	AbsorbProbes  int64
+	AbsorbSetHits int64
 	// Intern counters snapshot the condition intern table (see
 	// internal/cond): Hits/Misses are this run's constructor lookups
 	// (deltas over the run), Live is the table's node count at the end
@@ -129,6 +130,7 @@ var Counters = []Counter{
 	{Name: "solver_searches", Metric: "eval.solver_searches", field: func(s *Stats) *int64 { return &s.SolverSearches }},
 	{Name: "memo_evictions", Metric: "eval.memo_evictions", field: func(s *Stats) *int64 { return &s.MemoEvictions }},
 	{Name: "absorb_probes", Metric: "eval.absorb_probes", field: func(s *Stats) *int64 { return &s.AbsorbProbes }},
+	{Name: "absorb_set_hits", Metric: "eval.absorb_set_hits", field: func(s *Stats) *int64 { return &s.AbsorbSetHits }},
 	{Name: "intern_hits", Metric: "eval.intern_hits", field: func(s *Stats) *int64 { return &s.InternHits }},
 	{Name: "intern_misses", Metric: "eval.intern_misses", field: func(s *Stats) *int64 { return &s.InternMisses }},
 	// The intern table is global, so its size is a process-wide level.

@@ -216,17 +216,31 @@ func New(cfg Config) (*Server, error) {
 		recs = rs
 	}
 
-	// Initial evaluation: the warm generation 0.
-	res, err := faurelog.Eval(s.prog, cfg.Base, s.evalOptions(nil))
+	gen, err := s.boot(recs)
 	if err != nil {
 		s.startupFail()
+		return nil, err
+	}
+	s.publish(gen)
+
+	go s.writer()
+	return s, nil
+}
+
+// boot builds the generation the server starts from: the initial
+// evaluation, then the replay of the WAL's records. A panic in either
+// fails the boot with an error instead of crashing the process.
+func (s *Server) boot(recs []walRecord) (gen *Generation, err error) {
+	defer guard.Recover("serve.New", &err)
+	// Initial evaluation: the warm generation 0.
+	res, err := faurelog.Eval(s.prog, s.cfg.Base, s.evalOptions(nil))
+	if err != nil {
 		return nil, fmt.Errorf("serve: initial evaluation: %w", err)
 	}
 	if res.Truncated != nil {
-		s.startupFail()
 		return nil, fmt.Errorf("serve: initial evaluation truncated: %w", res.Truncated)
 	}
-	gen := &Generation{Seq: 0, Base: cfg.Base, DB: res.DB, Created: time.Now()}
+	gen = &Generation{Seq: 0, Base: s.cfg.Base, DB: res.DB, Created: time.Now()}
 
 	// Replay: every committed record goes through applyOnce — the very
 	// function the live writer uses — so the recovered database is
@@ -236,7 +250,6 @@ func New(cfg Config) (*Server, error) {
 	for _, rec := range recs {
 		next, err := s.applyOnce(gen, rec.U, nil)
 		if err != nil {
-			s.startupFail()
 			return nil, fmt.Errorf("serve: wal replay: record %d: %w", rec.Seq, err)
 		}
 		next.Update = rec.Text
@@ -252,10 +265,7 @@ func New(cfg Config) (*Server, error) {
 			s.o.Count("serve.wal_replayed", int64(len(recs)))
 		}
 	}
-	s.publish(gen)
-
-	go s.writer()
-	return s, nil
+	return gen, nil
 }
 
 // startupFail releases the resources New acquired before the failure.

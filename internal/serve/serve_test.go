@@ -16,6 +16,7 @@ import (
 	"faure/internal/budget"
 	"faure/internal/faultinject"
 	"faure/internal/faurelog"
+	"faure/internal/guard"
 	"faure/internal/rewrite"
 )
 
@@ -502,5 +503,41 @@ func TestNegatedProgramFallsBackToFullEval(t *testing.T) {
 	}
 	if got := s.Current().DB.Table("unreachable").Len(); got != 2 {
 		t.Fatalf("after +node(4): unreachable = %d, want 2", got)
+	}
+}
+
+// TestBadBaseFailsBoot: a base the program cannot run over fails New
+// with an error instead of crashing the process. A one-column fwd
+// table under a three-column literal is refused by the engine; a
+// database holding a nil table panics in the initial evaluation, which
+// the boot turns into a guard.PanicError.
+func TestBadBaseFailsBoot(t *testing.T) {
+	prog := faurelog.MustParse(`reach(a, b, f) :- fwd(a, b, f).`)
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	narrow, err := faurelog.ParseDatabase(`fwd(F0).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Program: prog, Base: narrow, Log: quiet})
+	if err == nil {
+		_ = s.Shutdown(context.Background())
+		t.Fatal("New accepted a one-column fwd table")
+	}
+	if !strings.Contains(err.Error(), "relation fwd has arity 1, but the program uses it with arity 3") {
+		t.Errorf("narrow table: err = %v", err)
+	}
+	broken, err := faurelog.ParseDatabase(`fwd(F0, 1, 2).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.Tables["hop"] = nil
+	s, err = New(Config{Program: prog, Base: broken, Log: quiet})
+	if err == nil {
+		_ = s.Shutdown(context.Background())
+		t.Fatal("New accepted a database holding a nil table")
+	}
+	var pe *guard.PanicError
+	if !errors.As(err, &pe) {
+		t.Errorf("nil table: err = %v, want a recovered panic", err)
 	}
 }

@@ -3,6 +3,8 @@ package solver
 import (
 	"errors"
 	"math/bits"
+	"slices"
+	"sort"
 
 	"faure/internal/cond"
 )
@@ -34,9 +36,9 @@ type fdTable struct {
 	bits  []uint64
 }
 
-// newFDTable allocates an empty (all-zero) table over f's c-variables.
-func (s *Solver) newFDTable(f *cond.Formula) (*fdTable, error) {
-	vars := f.CVars()
+// newFDTable allocates an empty (all-zero) table over vars, sorted
+// c-variable names.
+func (s *Solver) newFDTable(vars []string) (*fdTable, error) {
 	sizes := make([]int, len(vars))
 	vals := make([][]cond.Term, len(vars))
 	space := 1
@@ -196,7 +198,7 @@ func (s *Solver) compileNode(f *cond.Formula) (*fdTable, error) {
 // whole formula to search, which reproduces the search-level error
 // semantics exactly.
 func (s *Solver) atomTable(f *cond.Formula) (*fdTable, error) {
-	t, err := s.newFDTable(f)
+	t, err := s.newFDTable(f.CVars())
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +251,7 @@ func (s *Solver) notTable(f *cond.Formula) (*fdTable, error) {
 // foldTable intersects (And) or unions (Or) the children's tables into
 // the parent's assignment space.
 func (s *Solver) foldTable(f *cond.Formula, isAnd bool) (*fdTable, error) {
-	t, err := s.newFDTable(f)
+	t, err := s.newFDTable(f.CVars())
 	if err != nil {
 		return nil, err
 	}
@@ -305,4 +307,216 @@ func (t *fdTable) fold(child *fdTable, isAnd bool) {
 			cidx -= cstr[k] * t.sizes[k]
 		}
 	}
+}
+
+// newWorld returns the assignment space of the set tests, the world:
+// the table of True over every finite-domain c-variable of the
+// solver's domain map, or nil when they span more than fdMaxSpace
+// assignments. A formula's world table holds one bit per assignment of
+// all the world variables. The world is fixed at the solver's first
+// NewCover, so a variable registered later lies outside it.
+func (s *Solver) newWorld() *fdTable {
+	var vars []string
+	for name, d := range s.doms {
+		if d.Finite() {
+			vars = append(vars, name)
+		}
+	}
+	sort.Strings(vars)
+	w, err := s.newFDTable(vars)
+	if err != nil {
+		return nil
+	}
+	for i := range w.bits {
+		w.bits[i] = ^uint64(0)
+	}
+	w.maskTail()
+	return w
+}
+
+// inWorld is the world-membership check: every one of vars (sorted) is
+// a world variable whose domain still has its world size.
+func (s *Solver) inWorld(vars []string) bool {
+	w, wi := s.world, 0
+	for _, v := range vars {
+		for wi < len(w.vars) && w.vars[wi] < v {
+			wi++
+		}
+		if wi == len(w.vars) || w.vars[wi] != v || len(s.doms[v].Values) != w.sizes[wi] {
+			return false
+		}
+	}
+	return true
+}
+
+// widenedNode is a world table built by the set-test call in flight
+// and not yet memoised.
+type widenedNode struct {
+	id   uint64
+	bits []uint64
+}
+
+// wideTable returns f's world table, memoised on f's certificate
+// entry. It is built bottom-up through the interned DAG: an atom's
+// compiled fd table is widened into the world, and Not, And and Or
+// complement, intersect or unite their children's world tables word by
+// word. Each newly built node costs one solver step. The new tables
+// are memoised only once f's is complete, so a budget trip memoises
+// none. errFDUnsupported marks f outside the set tests' fragment: a
+// variable outside the world, or an atom the fd compiler refuses.
+func (s *Solver) wideTable(f *cond.Formula) ([]uint64, error) {
+	if e, ok := s.cache.get(f.ID()); ok && e.c.wide != nil {
+		return e.c.wide, nil
+	}
+	if !s.inWorld(f.CVars()) {
+		return nil, errFDUnsupported
+	}
+	t, err := s.widenNode(f)
+	if err == nil {
+		for _, n := range s.widened {
+			s.store(n.id, cert{wide: n.bits})
+		}
+	}
+	clear(s.widened)
+	s.widened = s.widened[:0]
+	s.unpinAll()
+	return t, err
+}
+
+func (s *Solver) widenNode(f *cond.Formula) ([]uint64, error) {
+	switch f.Kind {
+	case cond.FTrue:
+		return s.world.bits, nil
+	case cond.FFalse:
+		return make([]uint64, len(s.world.bits)), nil
+	}
+	id := f.ID()
+	if e, ok := s.cache.get(id); ok && e.c.wide != nil {
+		return e.c.wide, nil
+	}
+	for _, n := range s.widened {
+		if n.id == id {
+			return n.bits, nil
+		}
+	}
+	if err := s.bud.SolverStep(); err != nil {
+		return nil, err
+	}
+	var out []uint64
+	switch f.Kind {
+	case cond.FAtom:
+		t, err := s.compileFD(f)
+		if err != nil {
+			return nil, err
+		}
+		// Widen the atom's table: fold it into an empty world table.
+		w := *s.world
+		w.bits = make([]uint64, len(w.bits))
+		w.fold(t, false)
+		out = w.bits
+	case cond.FNot:
+		child, err := s.widenNode(f.Sub[0])
+		if err != nil {
+			return nil, err
+		}
+		out = make([]uint64, len(child))
+		for i, w := range child {
+			out[i] = ^w & s.world.bits[i]
+		}
+	case cond.FAnd, cond.FOr:
+		for i, sub := range f.Sub {
+			child, err := s.widenNode(sub)
+			switch {
+			case err != nil:
+				return nil, err
+			case i == 0:
+				out = slices.Clone(child)
+			case f.Kind == cond.FAnd:
+				for j, w := range child {
+					out[j] &= w
+				}
+			default:
+				for j, w := range child {
+					out[j] |= w
+				}
+			}
+		}
+	default:
+		return nil, errFDUnsupported
+	}
+	s.widened = append(s.widened, widenedNode{id: id, bits: out})
+	return out, nil
+}
+
+// Cover is a running union of world tables: the world assignments
+// under which at least one added formula holds. It decides whether a
+// formula implies the disjunction of the added ones as a subset test,
+// where the solver would build and decide f ∧ ¬(g1 ∨ … ∨ gn). A cover
+// dies, and stays undecided from then on, once a formula it cannot
+// represent is added.
+type Cover struct {
+	s    *Solver
+	bits []uint64 // nil once dead
+}
+
+// NewCover returns an empty cover. It is born dead, and leaves every
+// decision to the solver, when the finite-domain variables span more
+// than fdMaxSpace assignments or the cache or fast path is off.
+func (s *Solver) NewCover() *Cover {
+	if !s.worldSet {
+		s.world, s.worldSet = s.newWorld(), true
+	}
+	c := &Cover{s: s}
+	if s.world != nil && s.fastOn() {
+		c.bits = make([]uint64, len(s.world.bits))
+	}
+	return c
+}
+
+// Add unites f's world table into the cover. A formula outside the
+// fragment kills the cover. The only error is a budget trip, which
+// kills it too.
+func (c *Cover) Add(f *cond.Formula) error {
+	if c.bits == nil {
+		return nil
+	}
+	t, err := c.s.wideTable(f)
+	if err != nil {
+		c.bits = nil
+		if errors.Is(err, errFDUnsupported) {
+			return nil
+		}
+		return err
+	}
+	for i, w := range t {
+		c.bits[i] |= w
+	}
+	return nil
+}
+
+// Covers reports whether f implies the disjunction of the formulas
+// added so far, decided as a subset test of world tables; decided is
+// false, and the question left to the solver, when the cover is dead,
+// the fast path is off or f lies outside the fragment. A decision
+// costs one solver step.
+func (c *Cover) Covers(f *cond.Formula) (covered, decided bool, err error) {
+	if c.bits == nil || !c.s.fastOn() {
+		return false, false, nil
+	}
+	if err := c.s.bud.SolverStep(); err != nil {
+		return false, false, err
+	}
+	t, err := c.s.wideTable(f)
+	if err != nil {
+		if errors.Is(err, errFDUnsupported) {
+			return false, false, nil
+		}
+		return false, false, err
+	}
+	for i, w := range t {
+		if w&^c.bits[i] != 0 {
+			return false, true, nil
+		}
+	}
+	return true, true, nil
 }
