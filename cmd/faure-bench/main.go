@@ -61,7 +61,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "faure-bench:", err)
 		os.Exit(obsflag.ExitError)
 	}
-	opts := faure.Options{Observer: ob.Observer(), Budget: ob.Budget(), NoPlan: ob.NoPlan()}
+	opts := faure.Options{Observer: ob.Observer(), Budget: ob.Budget()}
 	if *provCap != 0 {
 		capN := *provCap
 		if capN < 0 {
@@ -188,7 +188,7 @@ type benchWorkload struct {
 	WallMS   float64 `json:"wall_ms"`
 	Tuples   int     `json:"tuples"`
 	// WallNoPlanMS and PlanSpeedup are set on the join workload: the
-	// same run with -no-plan (written-order evaluation) and the ratio
+	// same run in written order (Options.NoPlan) and the ratio
 	// wall_noplan_ms / wall_ms.
 	WallNoPlanMS float64 `json:"wall_noplan_ms,omitempty"`
 	PlanSpeedup  float64 `json:"plan_speedup,omitempty"`
@@ -283,7 +283,7 @@ type benchIntern struct {
 func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, outPath string, opts faure.Options) error {
 	var results []*faure.Table4Result
 	// joins holds the join-planner stress workload at each size: the
-	// measured run and its written-order (-no-plan) counterpart.
+	// measured run and its written-order (NoPlan) counterpart.
 	var joins []joinRun
 	var truncated *faure.BudgetExceeded
 	for _, n := range sizes {
@@ -374,7 +374,7 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 }
 
 // joinRun is the join-stress workload at one sweep size: the measured
-// run and its written-order (-no-plan) counterpart for the
+// run and its written-order (NoPlan) counterpart for the
 // plan-speedup column.
 type joinRun struct {
 	prefixes  int
@@ -385,7 +385,7 @@ type joinRun struct {
 
 // runJoin executes the join-stress workload at one sweep size. The
 // host count tracks the prefix count, capped at 1000: the
-// written-order (-no-plan) baseline the workload exists to measure is
+// written-order (NoPlan) baseline the workload exists to measure is
 // quadratic in the host count, so larger sweeps would spend the whole
 // budget in the baseline run. The printed summary reports the actual
 // host count next to the sweep size.

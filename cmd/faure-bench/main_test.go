@@ -72,7 +72,7 @@ func TestRunJSONReport(t *testing.T) {
 			t.Errorf("%s: intern counters not populated: %+v", w.Name, w)
 		}
 		if w.Name == "join" && (w.WallNoPlanMS <= 0 || w.PlanSpeedup <= 0) {
-			t.Errorf("join workload missing the -no-plan baseline columns: %+v", w)
+			t.Errorf("join workload missing the written-order baseline columns: %+v", w)
 		}
 		w.WallMS, w.SQLTime, w.SolverTime = 0, 0, 0
 		w.InternHits, w.InternMisses, w.InternLive = 0, 0, 0

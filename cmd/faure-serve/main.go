@@ -129,7 +129,6 @@ func run(addr, progPath, statePath, ribPath string, genPrefixes int, seed int64,
 		RequestLimits: ob.Limits(),
 		UpdateLimits:  faure.Budget{Timeout: updateTimeout},
 		Checksum:      checksum,
-		NoPlan:        ob.NoPlan(),
 		Obs:           metrics,
 		Log:           log,
 	})

@@ -67,7 +67,7 @@ func main() {
 
 func runBuiltin(withUpdate, withState bool, ob *obsflag.Flags) bool {
 	v := &faure.Verifier{Doms: faure.EnterpriseDomains(), Schema: faure.EnterpriseSchema(),
-		Obs: ob.Observer(), Budget: ob.Budget(), NoPlan: ob.NoPlan()}
+		Obs: ob.Observer(), Budget: ob.Budget()}
 	known := []faure.Constraint{faure.Clb(), faure.Cs()}
 	update := faure.ListingFourUpdate()
 	state := faure.EnterpriseState(false)
@@ -131,7 +131,7 @@ func runFiles(targetPath string, knownPaths []string, updatePath, statePath stri
 		}
 		doms = state.Doms
 	}
-	v := &faure.Verifier{Doms: doms, Obs: ob.Observer(), Budget: ob.Budget(), NoPlan: ob.NoPlan()}
+	v := &faure.Verifier{Doms: doms, Obs: ob.Observer(), Budget: ob.Budget()}
 	*exhausted = report(target.Name, v, target, known, update, state)
 	return nil
 }

@@ -124,7 +124,6 @@ func explainTuples(dbPath, progPath, pred, tuple string, provCap int, jsonOut, s
 	rec := faure.NewProvenance(provCap)
 	res, err := faure.Eval(prog, db, faure.Options{
 		Prov: rec, Observer: ob.Observer(), Budget: ob.Budget(),
-		NoPlan: ob.NoPlan(),
 	})
 	if err != nil {
 		return err
@@ -222,7 +221,7 @@ func explainVerify(targetPath string, knownPaths []string, updatePath, statePath
 		}
 		doms = state.Doms
 	}
-	v := &faure.Verifier{Doms: doms, Obs: ob.Observer(), Budget: ob.Budget(), NoPlan: ob.NoPlan()}
+	v := &faure.Verifier{Doms: doms, Obs: ob.Observer(), Budget: ob.Budget()}
 	x, err := v.ExplainLadder(target, known, update, state)
 	if err != nil {
 		return err

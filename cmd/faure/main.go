@@ -134,7 +134,6 @@ func cmdEval(args []string) error {
 		}
 		res, err = faure.Eval(prog, db, faure.Options{
 			NoEagerPrune: *noPrune, NoAbsorb: *noAbsorb, NoIndex: *noIndex,
-			NoPlan:   ob.NoPlan(),
 			Prov:     rec,
 			Observer: ob.Observer(),
 			Budget:   ob.Budget(),

@@ -77,6 +77,23 @@ func goldenDumps(t *testing.T, noPlan bool) map[string]string {
 		t.Fatal(err)
 	}
 	eval("headcond", prog, db)
+
+	// A written-order join whose second literal is probed on two bound
+	// columns, one of them holding a c-variable: the written order emits
+	// the probed column's constants before its c-variables, which is
+	// not the store order.
+	prog, err = faure.Parse(`q(x, z) :- a(x, y), b(x, y, z).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err = faure.ParseDatabase(`
+		var $w in {A, B}.
+		a(A, 1). b($w, 1, 5). b(A, 1, 6).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval("probeorder", prog, db)
 	return out
 }
 
@@ -88,12 +105,13 @@ func goldenDumps(t *testing.T, noPlan bool) map[string]string {
 // pass them; this one does not.
 func TestGoldenOrderedDumps(t *testing.T) {
 	want := map[string]string{
-		"q4-q5":    "468227413462269b5170a4765df53db15cba72369273acd5f7ce0b2addedb088",
-		"q6":       "fa42f419ac53d4614da5d67db58d0e01ce6bbead705463a46d5710a67b1a0fb3",
-		"q7":       "d975a72155a29a7a559f32cb1216e4bc60885bc5d49ef08a812bf7d6bca7083b",
-		"q8":       "97a29368bbfd4086cd7c9d38122b6b4eb48e184d19d5c1e7a9670a535b9b4f7f",
-		"join":     "681d7f401fabc13c1125536a69b8be72a44688846d938e70a4ab3224f3f512bd",
-		"headcond": "047d001ca628b1699a57214a109aa92ced5b8614107cb2c61038340d7c7ec12b",
+		"q4-q5":      "468227413462269b5170a4765df53db15cba72369273acd5f7ce0b2addedb088",
+		"q6":         "fa42f419ac53d4614da5d67db58d0e01ce6bbead705463a46d5710a67b1a0fb3",
+		"q7":         "d975a72155a29a7a559f32cb1216e4bc60885bc5d49ef08a812bf7d6bca7083b",
+		"q8":         "97a29368bbfd4086cd7c9d38122b6b4eb48e184d19d5c1e7a9670a535b9b4f7f",
+		"join":       "681d7f401fabc13c1125536a69b8be72a44688846d938e70a4ab3224f3f512bd",
+		"headcond":   "047d001ca628b1699a57214a109aa92ced5b8614107cb2c61038340d7c7ec12b",
+		"probeorder": "ed6a5a7b2d3a932c398edd9c796c9dfd9bf873f4ed2403ec78168c0bf716ab6b",
 	}
 	for _, noPlan := range []bool{false, true} {
 		got := goldenDumps(t, noPlan)

@@ -129,9 +129,10 @@ type Limits struct {
 // Zero reports whether the limits bound nothing.
 func (l Limits) Zero() bool { return l == Limits{} }
 
-// pollEvery is how many solver steps pass between wall-clock polls, so
-// a deadline fires inside a long solver run without a clock read per
-// search node.
+// pollEvery is how many units of work pass between wall-clock polls —
+// solver steps, and derived conditions weighted by their atom count —
+// so a deadline fires inside a long solver run or rule application
+// without a clock read per search node or per derivation.
 const pollEvery = 4096
 
 // B is the live accounting for one operation (an evaluation, a
@@ -256,14 +257,20 @@ func (b *B) SolverStep() error {
 			return b.trip(SolverSteps, b.limits.SolverSteps, "solver")
 		}
 	}
-	if b.sincePoll.Add(1) >= pollEvery {
+	return b.poll(1, "solver")
+}
+
+// poll counts n units of work toward the next wall-clock poll and polls
+// (Check) once pollEvery units have passed.
+func (b *B) poll(n int64, where string) error {
+	if b.sincePoll.Add(n) >= pollEvery {
 		// The reset is racy when goroutines share the tracker — several
 		// may reset around the same threshold crossing — but polling is
 		// approximate by design: what matters is that some caller reads
-		// the clock at least every pollEvery steps, which the shared
+		// the clock at least every pollEvery units, which the shared
 		// counter guarantees.
 		b.sincePoll.Store(0)
-		return b.Check("solver")
+		return b.Check(where)
 	}
 	return nil
 }
@@ -286,7 +293,11 @@ func (b *B) AddTuples(n int64, where string) error {
 }
 
 // CheckCond validates one derived condition's atom count against the
-// per-condition size budget.
+// per-condition size budget. Like SolverStep, it counts toward the next
+// wall-clock poll, by the condition's atom count (at least one): the
+// work of building and deciding a condition grows with its size, so a
+// deadline fires inside a rule application that derives many or large
+// conditions and charges few solver steps.
 func (b *B) CheckCond(atoms int, where string) error {
 	if b == nil {
 		return nil
@@ -297,5 +308,5 @@ func (b *B) CheckCond(atoms int, where string) error {
 	if b.limits.CondSize > 0 && int64(atoms) > b.limits.CondSize {
 		return b.trip(CondSize, b.limits.CondSize, where)
 	}
-	return nil
+	return b.poll(int64(max(atoms, 1)), where)
 }

@@ -126,15 +126,29 @@ func TestContextDeadlineWins(t *testing.T) {
 }
 
 func TestDeadlinePolledInsideSolverSteps(t *testing.T) {
-	b := New(nil, Limits{Timeout: time.Millisecond})
-	time.Sleep(5 * time.Millisecond)
-	// No explicit Check: the step poll alone must notice the deadline.
-	var err error
-	for i := 0; i < 2*pollEvery && err == nil; i++ {
-		err = b.SolverStep()
-	}
-	if ex, ok := As(err); !ok || ex.Kind != Deadline {
-		t.Fatalf("deadline not noticed within %d steps: %v", 2*pollEvery, err)
+	for _, tc := range []struct {
+		name  string
+		step  func(*B) error
+		calls int
+	}{
+		{"SolverStep", (*B).SolverStep, 2 * pollEvery},
+		{"CheckCond", func(b *B) error { return b.CheckCond(1, "derived condition") }, 2 * pollEvery},
+		// A condition counts by its atoms: a large one polls at once.
+		{"CheckCondAtoms", func(b *B) error { return b.CheckCond(pollEvery, "derived condition") }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := New(nil, Limits{Timeout: time.Millisecond})
+			time.Sleep(5 * time.Millisecond)
+			// No explicit Check: the unit's poll alone must notice the
+			// deadline.
+			var err error
+			for i := 0; i < tc.calls && err == nil; i++ {
+				err = tc.step(b)
+			}
+			if ex, ok := As(err); !ok || ex.Kind != Deadline {
+				t.Fatalf("deadline not noticed within %d calls: %v", tc.calls, err)
+			}
+		})
 	}
 }
 

@@ -140,7 +140,7 @@ func ruleContainedAfterUpdate(r faurelog.Rule, u rewrite.Update, combined *faure
 	if err != nil {
 		return false, err
 	}
-	res, err := faurelog.Eval(combined, db, faurelog.Options{Observer: o, Budget: opt.Budget, NoPlan: opt.NoPlan})
+	res, err := faurelog.Eval(combined, db, faurelog.Options{Observer: o, Budget: opt.Budget})
 	if err != nil {
 		return false, err
 	}

@@ -170,8 +170,9 @@ type argPlan struct {
 	kind TermKind
 	slot int       // TVar: the variable's slot
 	sym  cond.Term // TConst: the constant; TCVar: the c-variable
-	// bind marks, under the canonical literal order, the variable's
-	// first occurrence: it binds the slot instead of comparing with it.
+	// bind marks, under the literal order the roles were assigned for
+	// (the canonical one in a compiled plan), the variable's first
+	// occurrence: it binds the slot instead of comparing with it.
 	bind bool
 }
 
@@ -182,14 +183,38 @@ type litPlan struct {
 	pos  int // index in the written body
 	args []argPlan
 	// probe lists, in column order, the columns bound when the literal
-	// is reached in canonical order: constants, and variables bound by
-	// an earlier literal. The first whose value is a constant is the
-	// one index probe the streaming join makes.
+	// is reached in the order its roles were assigned for: constants,
+	// and variables bound by an earlier literal. Written order probes
+	// the first whose value is a constant; a reordered plan intersects
+	// all such columns.
 	probe []int
 }
 
-// probeKey returns the column and constant the streaming join probes
-// for this literal under the bindings, or ok=false for a full scan.
+// assignRoles fixes the literal's roles for an order that reaches it
+// with the slots marked in bound already bound: its probe columns, and
+// which variable occurrences bind their slot. It marks the slots the
+// literal binds in bound.
+func (l *litPlan) assignRoles(bound []bool) {
+	l.probe = l.probe[:0]
+	for c := range l.args {
+		if a := &l.args[c]; a.kind == TConst || a.kind == TVar && bound[a.slot] {
+			l.probe = append(l.probe, c)
+		}
+	}
+	// Binders are marked after the probe columns are collected: a
+	// variable bound earlier in the same literal is not yet bound when
+	// the literal's candidates are looked up.
+	for c := range l.args {
+		a := &l.args[c]
+		a.bind = a.kind == TVar && !bound[a.slot]
+		if a.bind {
+			bound[a.slot] = true
+		}
+	}
+}
+
+// probeKey returns the column and constant written order probes for
+// this literal under the bindings, or ok=false for a full scan.
 func (l *litPlan) probeKey(slots []cond.Term) (col int, key cond.Term, ok bool) {
 	for _, c := range l.probe {
 		a := &l.args[c]
@@ -369,41 +394,24 @@ func (cr *compiledRule) compilePlan(deltaIdx int, slotOf map[string]int) (*ruleP
 					return nil, fmt.Errorf("faurelog: unbound variable %s in negated literal %v", t.Name, a)
 				}
 				ap.slot = s
-				if bound[s] {
-					l.probe = append(l.probe, c)
-				}
 			case TConst:
 				ap.sym = t.Const
-				l.probe = append(l.probe, c)
 			default:
 				ap.sym = t.Symbol()
 			}
 			l.args[c] = ap
 		}
-		// Binders are marked after the probe columns are collected: a
-		// variable bound earlier in the same literal is not yet bound
-		// when the literal's candidates are looked up.
-		for c := range l.args {
-			if ap := &l.args[c]; ap.kind == TVar && !bound[ap.slot] {
-				ap.bind = true
-				bound[ap.slot] = true
-			}
-		}
+		l.assignRoles(bound)
 		p.lits[k] = l
 	}
 	return p, nil
 }
 
 // matcher runs the c-valuation of body literals against tuples under
-// a rule plan's canonical order. It is owned by one rule application
-// (one goroutine).
+// a rule plan's canonical order: the executor's replay.
 type matcher struct {
 	slots  []cond.Term
 	extras []*cond.Formula // scratch for match, reused across calls
-}
-
-func newMatcher(p *rulePlan) *matcher {
-	return &matcher{slots: make([]cond.Term, p.nSlots), extras: make([]*cond.Formula, 0, 4)}
 }
 
 // match implements the c-valuation v^C for one body literal against

@@ -35,13 +35,13 @@ type Options struct {
 	// NoIndex forces full scans instead of hash-index probes in the
 	// relational store.
 	NoIndex bool
-	// NoPlan disables cost-guided join planning: rule bodies are then
-	// evaluated in written order (negations last), probing at most one
-	// indexed column per literal — the pre-planner behaviour, kept as a
-	// debugging escape hatch. Planning never changes results: the
-	// planned executor discovers matches in cost order but replays them
-	// in written order, so tables, conditions and row order are
-	// bit-for-bit identical either way (see plan.go).
+	// NoPlan selects written order for every rule body (negations
+	// last), probing at most one indexed column per literal, in place of
+	// the cost-guided plan: the ablation knob behind the planner's
+	// written-order baseline. Planning never changes results: a
+	// reordered plan discovers matches in cost order but emits them in
+	// written order, so tables, conditions and row order are bit-for-bit
+	// identical either way (see plan.go).
 	NoPlan bool
 	// NoSolverCache disables the solver's memoisation of
 	// satisfiability results, and with it the compiled finite-domain
@@ -62,7 +62,8 @@ type Options struct {
 	// flag check per site and never read the clock for spans.
 	Observer obs.Observer
 	// Context cancels the evaluation; it is polled between fixpoint
-	// rounds and rule applications. Nil means background (never
+	// rounds and rule applications, and every few thousand solver steps
+	// and derived conditions within one. Nil means background (never
 	// canceled). Cancellation is not an error: Eval returns the partial
 	// result derived so far, flagged Truncated.
 	Context context.Context
@@ -203,9 +204,9 @@ type engine struct {
 	extraExport  []string
 	arity        map[string]int
 	stats        Stats
-	// needSrcs gates the per-match source collection in join: true when
-	// provenance recording consumes the sources, so a disabled run pays
-	// a single flag check.
+	// needSrcs gates the per-match source collection in the executor:
+	// true when provenance recording consumes the sources, so a disabled
+	// run pays a single flag check.
 	needSrcs bool
 	// prov is the provenance recorder (nil = off); provStart snapshots
 	// its counters at engine construction so Stats reports this run's
@@ -230,6 +231,8 @@ type engine struct {
 	// internStart snapshots the global condition intern table at engine
 	// construction, so the run's Stats can report hit/miss deltas.
 	internStart cond.InternStats
+	// x runs every rule application (plan.go).
+	x executor
 }
 
 func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error) {
@@ -249,6 +252,7 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 
 		internStart: cond.InternStatsNow(),
 	}
+	e.x.e = e
 	e.sol.SetBudget(e.bud)
 	if opts.NoSolverCache {
 		e.sol.SetCacheLimit(0)
@@ -632,129 +636,31 @@ func (e *engine) deriveRuleObserved(p *rulePlan, deltaTuples []ctable.Tuple, sin
 	return err
 }
 
-// deriveRule joins the rule body in the plan's canonical order — the
-// fed literal (restricted to deltaTuples) first, the other positives
-// in written order, then the negations, whose variables are all bound
-// by then (safety is validated) — and hands every completed match to
-// emit, which passes each committed tuple to sink.
+// deriveRule runs one rule application on the executor: discovery in
+// the planner's order when the plan reorders the positive literals, in
+// written order otherwise (NoPlan, one positive literal, or a plan
+// equal to written order); the fed literal reads deltaTuples. Every
+// match reaches emit in written order, and emit passes each committed
+// tuple to sink.
 func (e *engine) deriveRule(p *rulePlan, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple)) error {
 	// Per-rule-application poll; the empty location is filled in with
 	// the stratum and round by the caller's annotate.
 	if err := e.bud.Check(""); err != nil {
 		return err
 	}
-	// Cost-guided planning: when the greedy cost model finds a cheaper
-	// positive-literal order than the written one, run the planned
-	// executor — it discovers matches in plan order but replays them in
-	// written order, so the emissions below are bit-identical either
-	// way (see plan.go). A plan identical to the written order falls
-	// through to the streaming join, which costs nothing extra.
+	order, reordered := e.x.order[:0], false
 	if !e.opts.NoPlan && p.nPos > 1 {
-		order, changed := e.planPositives(p)
+		order, reordered = e.planPositives(p)
 		e.plansPlanned++
-		if changed {
+		if reordered {
 			e.plansReordered++
-			return e.runPlanned(p, deltaTuples, order, sink)
+		}
+	} else {
+		for s := 0; s < p.nPos; s++ {
+			order = append(order, s)
 		}
 	}
-	j := &join{e: e, p: p, delta: deltaTuples, sink: sink, m: newMatcher(p), rels: e.rels(p)}
-	conds := make([]*cond.Formula, 0, 2*len(p.lits)+1)
-	var srcs []Source
-	if e.needSrcs {
-		srcs = make([]Source, 0, len(p.lits))
-	}
-	return j.run(0, conds, srcs)
-}
-
-// rels resolves the plan's literals to the store's relations (nil for
-// a relation that does not exist), once per rule application.
-func (e *engine) rels(p *rulePlan) []*relstore.Relation {
-	rels := make([]*relstore.Relation, len(p.lits))
-	for i := range p.lits {
-		rels[i] = e.store.Rel(p.lits[i].pred)
-	}
-	return rels
-}
-
-// join is one streaming rule application in written order; every
-// completed match goes to emit.
-type join struct {
-	e     *engine
-	p     *rulePlan
-	delta []ctable.Tuple
-	sink  func(string, ctable.Tuple)
-	m     *matcher
-	rels  []*relstore.Relation
-}
-
-func (j *join) run(i int, conds []*cond.Formula, srcs []Source) error {
-	p := j.p
-	if i == len(p.lits) {
-		return j.e.emit(p, j.m.slots, conds, srcs, j.sink)
-	}
-	l := &p.lits[i]
-	if l.neg {
-		f, pattern := j.e.negation(l, j.rels[i], j.m.slots)
-		if f.IsFalse() {
-			return nil
-		}
-		next := srcs
-		if j.e.needSrcs {
-			next = append(srcs, Source{Pred: l.pred, Tuple: ctable.NewTuple(pattern, f), Negated: true})
-		}
-		return j.run(i+1, append(conds, f), next)
-	}
-	if i == 0 && p.fed {
-		for _, tp := range j.delta {
-			if err := j.visit(i, tp, conds, srcs); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	rel := j.rels[i]
-	if rel == nil {
-		return nil
-	}
-	for _, idx := range j.e.candidates(rel, l, j.m.slots) {
-		if err := j.visit(i, rel.Tuple(idx), conds, srcs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// visit matches the i-th literal against one tuple and, on success,
-// joins the rest of the body.
-func (j *join) visit(i int, tp ctable.Tuple, conds []*cond.Formula, srcs []Source) error {
-	l := &j.p.lits[i]
-	extra, ok := j.m.match(l, tp)
-	if !ok {
-		return nil
-	}
-	next := append(conds, tp.Condition())
-	if !extra.IsTrue() {
-		next = append(next, extra)
-	}
-	if j.e.needSrcs {
-		srcs = append(srcs, Source{Pred: l.pred, Tuple: tp})
-	}
-	return j.run(i+1, next, srcs)
-}
-
-// candidates narrows the tuples to scan for a positive literal using
-// the store's hash indexes: the first column bound to a constant
-// (literal, or a variable bound to a constant) is probed. A c-variable
-// at that column is still a candidate (it may equal the constant under
-// a condition), so probes include the column's c-variable list.
-func (e *engine) candidates(rel *relstore.Relation, l *litPlan, slots []cond.Term) []int {
-	if e.opts.NoIndex {
-		return rel.All()
-	}
-	if col, key, ok := l.probeKey(slots); ok {
-		return rel.Candidates(col, key)
-	}
-	return rel.All()
+	return e.x.run(p, deltaTuples, order, reordered, sink)
 }
 
 // negation computes the "not derivable" condition for a negated

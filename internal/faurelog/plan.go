@@ -1,53 +1,58 @@
 package faurelog
 
-// Cost-guided join planning.
+// Join execution and cost-guided planning.
 //
-// The written-order join (eval.go) evaluates a rule body left to right
-// and probes at most one indexed column per literal, so a rule written
-// with its fattest relation first degrades to a near-cross-product.
-// The planner greedily reorders the positive body literals by their
-// estimated candidate count under sideways information passing — pick
-// the cheapest literal given the variables bound so far, bind its
-// variables, repeat — using the store's O(1) per-column statistics
-// (relstore.ColStats). The delta literal of a semi-naive round stays
-// pinned first: its tuples are an in-memory slice, and every other
-// literal benefits from the variables it binds.
+// One executor runs every rule application, in two steps. Discovery
+// finds the body's positive matches depth-first in the application's
+// literal order. Replay matches each discovered tuple again in the
+// written (canonical) order — the fed literal first, the other
+// positives as written, then the negations — rebuilding the bindings,
+// equality conditions and negation conditions exactly as written order
+// defines them, and dropping a combination the written-order matcher
+// rejects. In written order the two advance together: each literal is
+// replayed as discovery reaches it, and the replay's matcher makes
+// discovery's checks. A reordered plan checks tuples during discovery
+// with a formula-free matcher (discover), which only binds slots and
+// rejects constant/constant conflicts, and replays each complete match
+// from the first literal whose tuple changed since the previous one.
+//
+// The literal order is the written one unless the planner finds a
+// cheaper one. The planner greedily reorders the positive body literals
+// by their estimated candidate count under sideways information
+// passing — pick the cheapest literal given the variables bound so far,
+// bind its variables, repeat — using the store's O(1) per-column
+// statistics (relstore.ColStats). The delta literal of a semi-naive
+// round stays pinned first: its tuples are an in-memory slice, and
+// every other literal benefits from the variables it binds.
+// Options.NoPlan keeps the written order.
 //
 // Determinism argument. The evaluation's observable output — table
-// contents, conditions, row order, provenance — depends on the
-// ORDER emissions reach the commit path: dedup keeps the first
-// occurrence, absorption compares each condition against the ones
-// committed before it, and row order is insertion order. The planner
-// therefore never streams matches in plan order. Instead the planned
-// executor:
-//
-//  1. discovers complete positive matches depth-first in plan order,
-//     using multi-column index intersection (CandidatesMulti) and a
-//     formula-free matcher (discover) that only binds slots and rejects
-//     constant/constant conflicts;
-//  2. replays each match in the written (canonical) order — rebuilding
-//     bindings, equality conditions and negation conditions exactly as
-//     the written-order join would, and dropping combinations that the
-//     written-order matcher rejects (a variable claimed by two
-//     different constants: such a combination is emitted by neither
-//     executor with a satisfiable condition);
-//  3. sorts the replayed emissions by a key that encodes, per literal,
-//     the position the written-order join would have visited the
-//     matched tuple at — the delta slice position for the fed literal,
-//     and (cvar-bucket bit, store index) for store literals, mirroring
-//     Candidates' constants-then-cvars enumeration — and only then
-//     hands them to emit.
+// contents, conditions, row order, provenance — depends on the ORDER
+// emissions reach the commit path: dedup keeps the first occurrence,
+// absorption compares each condition against the ones committed before
+// it, and row order is insertion order. Written order fixes that order.
+// Its discovery probes one indexed column per literal (candidates),
+// whose tuples come constants first, then c-variables, and each
+// replayed match goes straight to emit. A reordered plan discovers in
+// another order and intersects every bound column (plannedCandidates),
+// whose tuples come in store order, so it buffers its replayed matches
+// and sorts them by a key that encodes, per literal, the position
+// written order visits the matched tuple at — the delta slice position
+// for the fed literal, and (c-variable bucket bit, store index) for
+// store literals — before handing them to emit.
 //
 // The emission sequence is thus exactly the written-order sequence,
-// minus combinations whose condition is syntactically contradictory
-// (written-order emits them, the eager prune or the final prune drops
-// them, and they can never absorb or outlive a satisfiable tuple), so
-// final tables, dumps and verdicts are bit-for-bit identical with the
-// planner on or off. Only speculative-work counters (pruned, sat
-// calls, probes) may differ.
+// minus combinations whose condition is syntactically contradictory: a
+// variable that three literals share can be claimed by two different
+// constants, which discovery in another order rejects while written
+// order only conjoins their equalities with a c-variable; the eager
+// prune or the final prune drops such a tuple, and it can never absorb
+// or outlive a satisfiable one. Final tables, dumps and verdicts are
+// therefore bit-for-bit identical with the planner on or off. Only
+// speculative-work counters (pruned, sat calls, probes) may differ.
 
 import (
-	"sort"
+	"slices"
 
 	"faure/internal/cond"
 	"faure/internal/ctable"
@@ -57,20 +62,22 @@ import (
 // planPositives greedily orders the plan's positive literals by
 // estimated cost. A fed delta literal (slot 0) stays pinned. It returns
 // the canonical slot indexes in execution order and whether that
-// differs from the written order. Ties keep the lowest slot, so the
-// plan is deterministic for a given frozen store.
+// differs from the written order, and leaves in the executor's planned
+// literals the positives with their roles under that order. Ties keep
+// the lowest slot, so the plan is deterministic for a given frozen
+// store.
 func (e *engine) planPositives(p *rulePlan) ([]int, bool) {
-	order := make([]int, 0, p.nPos)
+	x := &e.x
+	lits := slices.Clone(p.lits[:p.nPos])
+	for i := range lits {
+		lits[i].args, lits[i].probe = slices.Clone(lits[i].args), nil
+	}
+	x.planned = lits
 	bound := make([]bool, p.nSlots)
-	used := make([]bool, p.nPos)
+	order := x.order[:0]
 	take := func(slot int) {
-		used[slot] = true
 		order = append(order, slot)
-		for _, a := range p.lits[slot].args {
-			if a.kind == TVar {
-				bound[a.slot] = true
-			}
-		}
+		lits[slot].assignRoles(bound)
 	}
 	if p.fed {
 		take(0)
@@ -78,16 +85,17 @@ func (e *engine) planPositives(p *rulePlan) ([]int, bool) {
 	for len(order) < p.nPos {
 		best, bestCost := -1, 0.0
 		for s := 0; s < p.nPos; s++ {
-			if used[s] {
+			if slices.Contains(order, s) {
 				continue
 			}
-			c := e.estimateLiteral(&p.lits[s], bound)
+			c := e.estimateLiteral(&lits[s], bound)
 			if best < 0 || c < bestCost {
 				best, bestCost = s, c
 			}
 		}
 		take(best)
 	}
+	x.order = order
 	for i, s := range order {
 		if s != i {
 			return order, true
@@ -124,52 +132,152 @@ func (e *engine) estimateLiteral(l *litPlan, bound []bool) float64 {
 	return cost
 }
 
-// plannedMatch records, for one canonical slot, the tuple the
-// discovery join matched there and its order-key material: the store
-// index, or the delta slice position for the fed literal.
-type plannedMatch struct {
-	tp  ctable.Tuple
-	idx int
+// executor runs one rule application at a time (see the package
+// comment). The engine owns one; its scratch is truncated, not
+// reallocated, by every application.
+type executor struct {
+	e     *engine
+	p     *rulePlan
+	delta []ctable.Tuple
+	sink  func(string, ctable.Tuple)
+	rels  []*relstore.Relation // per literal of p; nil for a missing relation
+
+	// order lists the positive slots in discovery order, and lits holds
+	// the positives' roles under it: the compiled p.lits in written
+	// order, otherwise the planner's copies (planned).
+	order     []int
+	lits      []litPlan
+	reordered bool
+	planned   []litPlan
+
+	// Discovery: per slot, the matched tuple's store index (its delta
+	// position for the fed literal); and, in a reordered plan, the
+	// discovery-order bindings.
+	hits   []int
+	dslots []cond.Term
+	// Replay, current for the slots below replayed: the written-order
+	// bindings (m.slots); the conditions and sources in written order,
+	// those of the slots before s ending at ends[s] (ends[0] stays 0)
+	// and at s; and, in a reordered plan, each slot's order key. A
+	// complete match appends its negations to conds and srcs.
+	m        matcher
+	replayed int
+	conds    []*cond.Formula
+	ends     []int
+	srcs     []Source
+	keys     []uint64
+	// A reordered plan's replayed matches, flattened: per match nPos
+	// keys and nSlots bindings, its conditions and sources ending at
+	// bufEnds[i]; perm is the sort's scratch.
+	bufKeys  []uint64
+	bufSlots []cond.Term
+	bufConds []*cond.Formula
+	bufSrcs  []Source
+	bufEnds  [][2]int
+	perm     []int
 }
 
-// discoveryLit is a literal's role under the planned order: which of
-// its variable occurrences bind (the first in plan order) and which
-// columns are bound to a constant symbol or an earlier-bound variable
-// when discovery reaches it.
-type discoveryLit struct {
-	binds []bool
-	cols  []int
-}
-
-// discoveryOrder derives the per-literal binding roles for a planned
-// order of the positive slots.
-func (p *rulePlan) discoveryOrder(order []int) []discoveryLit {
-	out := make([]discoveryLit, p.nPos)
-	bound := make([]bool, p.nSlots)
-	for _, slot := range order {
-		l := &p.lits[slot]
-		d := discoveryLit{binds: make([]bool, len(l.args))}
-		for c, a := range l.args {
-			if a.kind == TConst || (a.kind == TVar && bound[a.slot]) {
-				d.cols = append(d.cols, c)
-			}
-		}
-		for c, a := range l.args {
-			if a.kind == TVar && !bound[a.slot] {
-				d.binds[c] = true
-				bound[a.slot] = true
-			}
-		}
-		out[slot] = d
+// resize returns s with length n, reusing its array when it is large
+// enough; the elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return out
+	return s[:n]
+}
+
+// run executes one rule application: discovery in order (a permutation
+// of p's positive slots; reordered when it is not the identity),
+// replay and emission in written order.
+func (x *executor) run(p *rulePlan, delta []ctable.Tuple, order []int, reordered bool, sink func(string, ctable.Tuple)) error {
+	x.p, x.delta, x.order, x.reordered, x.sink = p, delta, order, reordered, sink
+	x.lits = p.lits
+	if reordered {
+		x.lits = x.planned
+	}
+	x.rels = x.rels[:0]
+	for i := range p.lits {
+		x.rels = append(x.rels, x.e.store.Rel(p.lits[i].pred))
+	}
+	x.hits = resize(x.hits, p.nPos)
+	x.ends = resize(x.ends, p.nPos+1)
+	x.keys = resize(x.keys, p.nPos)
+	x.dslots = resize(x.dslots, p.nSlots)
+	x.m.slots = resize(x.m.slots, p.nSlots)
+	x.replayed = 0
+	x.bufKeys, x.bufSlots, x.bufConds, x.bufSrcs = x.bufKeys[:0], x.bufSlots[:0], x.bufConds[:0], x.bufSrcs[:0]
+	x.bufEnds = x.bufEnds[:0]
+	if err := x.extend(0); err != nil {
+		return err
+	}
+	if reordered {
+		return x.emitSorted()
+	}
+	return nil
+}
+
+// extend discovers the candidates for the k-th slot of the order and
+// extends the match with each that matches; a complete match goes to
+// leaf.
+func (x *executor) extend(k int) error {
+	if k == x.p.nPos {
+		return x.leaf()
+	}
+	s := x.order[k]
+	if s == 0 && x.p.fed {
+		for pos, tp := range x.delta {
+			if err := x.accept(k, tp, pos); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	rel := x.rels[s]
+	if rel == nil {
+		return nil
+	}
+	var idxs []int
+	if x.reordered {
+		idxs = x.e.plannedCandidates(rel, &x.lits[s], x.dslots)
+	} else {
+		idxs = x.e.candidates(rel, &x.lits[s], x.m.slots)
+	}
+	for _, idx := range idxs {
+		if err := x.accept(k, rel.Tuple(idx), idx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// accept matches tp (at store index or delta position idx) to the k-th
+// slot of the order, replays what it can, and extends the match one
+// level deeper. Written order replays each slot as discovery reaches
+// it, and the replay's matcher makes discovery's checks and bindings.
+// A reordered plan replays complete matches only, from the first slot
+// whose tuple changed since the last replay.
+func (x *executor) accept(k int, tp ctable.Tuple, idx int) error {
+	s := x.order[k]
+	if x.reordered && !discover(&x.lits[s], tp, x.dslots) {
+		return nil
+	}
+	x.hits[s] = idx
+	x.replayed = min(x.replayed, s)
+	if !x.reordered || k == x.p.nPos-1 {
+		for ; x.replayed <= k; x.replayed++ {
+			if !x.replay(x.replayed) {
+				return nil
+			}
+		}
+	}
+	return x.extend(k + 1)
 }
 
 // discover is the discovery-time matcher: it binds slots and rejects
 // syntactically impossible combinations (constant against a different
 // constant) without building condition formulas — the written-order
 // replay rebuilds those.
-func discover(l *litPlan, d *discoveryLit, tp ctable.Tuple, slots []cond.Term) bool {
+func discover(l *litPlan, tp ctable.Tuple, slots []cond.Term) bool {
 	for c := range l.args {
 		a := &l.args[c]
 		v := tp.Values[c]
@@ -179,7 +287,7 @@ func discover(l *litPlan, d *discoveryLit, tp ctable.Tuple, slots []cond.Term) b
 				return false
 			}
 		case TVar:
-			if d.binds[c] {
+			if a.bind {
 				slots[a.slot] = v
 				continue
 			}
@@ -191,163 +299,137 @@ func discover(l *litPlan, d *discoveryLit, tp ctable.Tuple, slots []cond.Term) b
 	return true
 }
 
-// groupShift places Candidates' constants-vs-cvars bucket bit above
-// any realistic store index in the per-slot order key.
+// tuple returns the tuple discovery matched at slot s.
+func (x *executor) tuple(s int) ctable.Tuple {
+	if s == 0 && x.p.fed {
+		return x.delta[x.hits[s]]
+	}
+	return x.rels[s].Tuple(x.hits[s])
+}
+
+// groupShift places candidates' constants-vs-c-variables bucket bit
+// above any realistic store index in the per-slot order key.
 const groupShift = 40
 
-// runPlanned executes one rule application under the planned literal
-// order: discovery in plan order, replay and emission in written
-// order (see the package comment's determinism argument). order is the
-// planned permutation of the plan's positive slots.
-func (e *engine) runPlanned(p *rulePlan, deltaTuples []ctable.Tuple, order []int, sink func(string, ctable.Tuple)) error {
-	nPos := p.nPos
-	disc := p.discoveryOrder(order)
-	rels := e.rels(p)
-	matched := make([]plannedMatch, nPos)
-	dslots := make([]cond.Term, p.nSlots)
-	rm := newMatcher(p)
-	rslots := rm.slots
-
-	// The replayed emissions, flattened: per emission nPos order keys and
-	// nSlots bindings; its conditions and sources end at condEnd/srcEnd.
-	var (
-		keys    []uint64
-		slotBuf []cond.Term
-		condBuf []*cond.Formula
-		condEnd []int
-		srcBuf  []Source
-		srcEnd  []int
-	)
-	replay := func() error {
-		kMark, cMark, sMark := len(keys), len(condBuf), len(srcBuf)
-		reject := func() error {
-			keys, condBuf, srcBuf = keys[:kMark], condBuf[:cMark], srcBuf[:sMark]
-			return nil
-		}
-		for slot := 0; slot < nPos; slot++ {
-			l := &p.lits[slot]
-			m := matched[slot]
-			if slot == 0 && p.fed {
-				keys = append(keys, uint64(m.idx))
-			} else {
-				var g uint64
-				if !e.opts.NoIndex {
-					if col, _, ok := l.probeKey(rslots); ok && m.tp.Values[col].IsCVar() {
-						g = 1
-					}
-				}
-				keys = append(keys, g<<groupShift|uint64(m.idx))
-			}
-			extra, ok := rm.match(l, m.tp)
-			if !ok {
-				// The written-order matcher rejects this combination (two
-				// constants claimed the same variable); neither executor
-				// may emit it.
-				return reject()
-			}
-			condBuf = append(condBuf, m.tp.Condition())
-			if !extra.IsTrue() {
-				condBuf = append(condBuf, extra)
-			}
-			if e.needSrcs {
-				srcBuf = append(srcBuf, Source{Pred: l.pred, Tuple: m.tp})
+// replay matches slot s's discovered tuple under the written-order
+// roles, extending the replay bindings, and pushes the slot's tuple
+// condition, extra equalities and source onto the replayed ones. It
+// reports false when the written-order matcher rejects the combination
+// (two constants claimed the same variable); no order may emit it.
+//
+// In a reordered plan it first records the slot's order key, the
+// position written order visits the tuple at: the delta slice position
+// for the fed literal; for a store literal the store index, with a bit
+// above it when the tuple is in the c-variable bucket of the column
+// candidates probes under the bindings of the slots before s.
+func (x *executor) replay(s int) bool {
+	l, tp := &x.p.lits[s], x.tuple(s)
+	if x.reordered {
+		x.keys[s] = uint64(x.hits[s])
+		if s > 0 || !x.p.fed {
+			if col, _, ok := l.probeKey(x.m.slots); ok && !x.e.opts.NoIndex && tp.Values[col].IsCVar() {
+				x.keys[s] |= 1 << groupShift
 			}
 		}
-		for i := nPos; i < len(p.lits); i++ {
-			l := &p.lits[i]
-			f, pattern := e.negation(l, rels[i], rslots)
-			if f.IsFalse() {
-				return reject()
-			}
-			if e.needSrcs {
-				srcBuf = append(srcBuf, Source{Pred: l.pred, Tuple: ctable.NewTuple(pattern, f), Negated: true})
-			}
-			condBuf = append(condBuf, f)
-		}
-		slotBuf = append(slotBuf, rslots...)
-		condEnd = append(condEnd, len(condBuf))
-		srcEnd = append(srcEnd, len(srcBuf))
-		return nil
 	}
-
-	var dfs func(k int) error
-	dfs = func(k int) error {
-		if k == nPos {
-			return replay()
-		}
-		slot := order[k]
-		l := &p.lits[slot]
-		d := &disc[slot]
-		if slot == 0 && p.fed {
-			for pos, tp := range deltaTuples {
-				if !discover(l, d, tp, dslots) {
-					continue
-				}
-				matched[slot] = plannedMatch{tp: tp, idx: pos}
-				if err := dfs(k + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		rel := rels[slot]
-		if rel == nil {
-			return nil
-		}
-		for _, idx := range e.plannedCandidates(rel, l, d, dslots) {
-			tp := rel.Tuple(idx)
-			if !discover(l, d, tp, dslots) {
-				continue
-			}
-			matched[slot] = plannedMatch{tp: tp, idx: idx}
-			if err := dfs(k + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := dfs(0); err != nil {
-		return err
-	}
-
-	n := len(condEnd)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(i, j int) bool {
-		a, b := keys[perm[i]*nPos:], keys[perm[j]*nPos:]
-		for k := 0; k < nPos; k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
+	extra, ok := x.m.match(l, tp)
+	if !ok {
 		return false
-	})
-	ns := p.nSlots
-	for _, i := range perm {
-		cStart, sStart := 0, 0
-		if i > 0 {
-			cStart, sStart = condEnd[i-1], srcEnd[i-1]
+	}
+	x.conds = append(x.conds[:x.ends[s]], tp.Condition())
+	if !extra.IsTrue() {
+		x.conds = append(x.conds, extra)
+	}
+	x.ends[s+1] = len(x.conds)
+	if x.e.needSrcs {
+		x.srcs = append(x.srcs[:s], Source{Pred: l.pred, Tuple: tp})
+	}
+	return true
+}
+
+// leaf completes a match whose positives are all replayed with the
+// negations under the replay bindings: written order emits it at once,
+// a reordered plan buffers it for emitSorted.
+func (x *executor) leaf() error {
+	p, e := x.p, x.e
+	x.conds = x.conds[:x.ends[p.nPos]]
+	if e.needSrcs {
+		x.srcs = x.srcs[:p.nPos]
+	}
+	for i := p.nPos; i < len(p.lits); i++ {
+		l := &p.lits[i]
+		f, pattern := e.negation(l, x.rels[i], x.m.slots)
+		if f.IsFalse() {
+			return nil
 		}
-		if err := e.emit(p, slotBuf[i*ns:(i+1)*ns], condBuf[cStart:condEnd[i]], srcBuf[sStart:srcEnd[i]], sink); err != nil {
+		x.conds = append(x.conds, f)
+		if e.needSrcs {
+			x.srcs = append(x.srcs, Source{Pred: l.pred, Tuple: ctable.NewTuple(pattern, f), Negated: true})
+		}
+	}
+	if !x.reordered {
+		return e.emit(p, x.m.slots, x.conds, x.srcs, x.sink)
+	}
+	x.bufKeys = append(x.bufKeys, x.keys...)
+	x.bufSlots = append(x.bufSlots, x.m.slots...)
+	x.bufConds = append(x.bufConds, x.conds...)
+	x.bufSrcs = append(x.bufSrcs, x.srcs...)
+	x.bufEnds = append(x.bufEnds, [2]int{len(x.bufConds), len(x.bufSrcs)})
+	return nil
+}
+
+// emitSorted hands a reordered plan's buffered matches to emit in
+// written order.
+func (x *executor) emitSorted() error {
+	nPos, ns := x.p.nPos, x.p.nSlots
+	x.perm = x.perm[:0]
+	for i := range x.bufEnds {
+		x.perm = append(x.perm, i)
+	}
+	slices.SortStableFunc(x.perm, func(a, b int) int {
+		return slices.Compare(x.bufKeys[a*nPos:(a+1)*nPos], x.bufKeys[b*nPos:(b+1)*nPos])
+	})
+	for _, i := range x.perm {
+		var start [2]int
+		if i > 0 {
+			start = x.bufEnds[i-1]
+		}
+		end := x.bufEnds[i]
+		if err := x.e.emit(x.p, x.bufSlots[i*ns:(i+1)*ns], x.bufConds[start[0]:end[0]], x.bufSrcs[start[1]:end[1]], x.sink); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// plannedCandidates narrows the tuples for one literal during planned
-// discovery, intersecting the candidate lists of every constant-bound
-// column. Unlike the written-order candidates, the result order does
-// not matter here: the replay sort restores written order.
-func (e *engine) plannedCandidates(rel *relstore.Relation, l *litPlan, d *discoveryLit, slots []cond.Term) []int {
+// candidates narrows the tuples for a positive literal in written
+// order: the first probe column bound to a constant (the literal's own,
+// or a variable's binding) is probed. A c-variable at that column is
+// still a candidate (it may equal the constant under a condition), so
+// the candidates are the column's constant bucket, then its c-variable
+// list — the order the replay keys encode.
+func (e *engine) candidates(rel *relstore.Relation, l *litPlan, slots []cond.Term) []int {
+	if e.opts.NoIndex {
+		return rel.All()
+	}
+	if col, key, ok := l.probeKey(slots); ok {
+		return rel.Candidates(col, key)
+	}
+	return rel.All()
+}
+
+// plannedCandidates narrows the tuples for one literal of a reordered
+// plan, intersecting the candidate lists of every probe column bound
+// to a constant. On two or more columns the result comes in store
+// order, not in candidates' order, so only a reordered plan, whose
+// emissions are sorted, may enumerate with it.
+func (e *engine) plannedCandidates(rel *relstore.Relation, l *litPlan, slots []cond.Term) []int {
 	if e.opts.NoIndex {
 		return rel.All()
 	}
 	var cols []int
 	var keys []cond.Term
-	for _, c := range d.cols {
+	for _, c := range l.probe {
 		a := &l.args[c]
 		key := a.sym
 		if a.kind == TVar {

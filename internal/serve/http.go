@@ -335,7 +335,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		db = gen.DB
 	}
 	v := &verify.Verifier{Doms: s.cfg.Doms, Schema: s.cfg.Schema,
-		Obs: s.cfg.Obs, Budget: bud, NoPlan: s.cfg.NoPlan}
+		Obs: s.cfg.Obs, Budget: bud}
 	rep, level, err := v.Ladder(target, known, u, db)
 	if err != nil {
 		// The ladder's own guard boundaries convert panics to errors; a

@@ -67,9 +67,6 @@ type Config struct {
 	// at publish (read back by consistency tests and /v1/generation).
 	// Costs one dump per update; off by default.
 	Checksum bool
-	// NoPlan is passed to every evaluation (results are bit-identical
-	// either way; see the engine's determinism contract).
-	NoPlan bool
 	// Obs receives the server's metrics and spans (nil disables):
 	// serve.generation / serve.inflight / serve.queue gauges,
 	// serve.update_* counters (serve.update_scope.partition or .all and
@@ -293,7 +290,7 @@ func (s *Server) Replayed() uint64 { return s.replayed.Load() }
 // evalOptions assembles the engine options for one evaluation under
 // the given budget.
 func (s *Server) evalOptions(bud *budget.B) faurelog.Options {
-	opts := faurelog.Options{NoPlan: s.cfg.NoPlan, Budget: bud}
+	opts := faurelog.Options{Budget: bud}
 	if s.obsOn {
 		opts.Observer = s.cfg.Obs
 	}

@@ -180,7 +180,7 @@ func (v *Verifier) violations(target containment.Constraint, state *ctable.Datab
 	found := violationSet{cond: cond.False()}
 	rec := prov.NewRecorder(0)
 	res, err := faurelog.Eval(target.Program, state, faurelog.Options{
-		Prov: rec, Observer: o, Budget: v.Budget, NoPlan: v.NoPlan,
+		Prov: rec, Observer: o, Budget: v.Budget,
 	})
 	if err != nil {
 		return found, err

@@ -66,34 +66,3 @@ func TestPlanDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestPlanVerifierVerdicts runs the §5 enterprise verification ladder
-// with the planner on and off: verdict, decision level and reason must
-// be identical.
-func TestPlanVerifierVerdicts(t *testing.T) {
-	known := []faure.Constraint{faure.Clb(), faure.Cs()}
-	update := faure.ListingFourUpdate()
-	state := faure.EnterpriseState(false)
-	for _, target := range []faure.Constraint{faure.T1(), faure.T2()} {
-		type verdict struct {
-			verdict faure.Verdict
-			level   string
-			reason  string
-		}
-		run := func(noPlan bool) verdict {
-			v := &faure.Verifier{
-				Doms: faure.EnterpriseDomains(), Schema: faure.EnterpriseSchema(),
-				NoPlan: noPlan,
-			}
-			rep, level, err := v.Ladder(target, known, &update, state)
-			if err != nil {
-				t.Fatalf("%s noPlan=%v: %v", target.Name, noPlan, err)
-			}
-			return verdict{rep.Verdict, level, rep.Reason}
-		}
-		planned := run(false)
-		if written := run(true); written != planned {
-			t.Errorf("%s: verdicts diverge: planned=%+v written=%+v", target.Name, planned, written)
-		}
-	}
-}
