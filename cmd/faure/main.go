@@ -337,7 +337,8 @@ func cmdSQL(args []string) error {
 }
 
 // simplifyTables rewrites every derived table's conditions into their
-// simplified display form.
+// simplified display form. It builds new tuple slices: a result's
+// tables share their arrays (see faure.Result).
 func simplifyTables(db *faure.Database, prog *faure.Program) error {
 	s := faure.NewSolver(db.Doms)
 	for pred := range prog.IDB() {
@@ -345,13 +346,15 @@ func simplifyTables(db *faure.Database, prog *faure.Program) error {
 		if tbl == nil {
 			continue
 		}
+		simplified := make([]faure.Tuple, len(tbl.Tuples))
 		for i, tp := range tbl.Tuples {
 			c, err := faure.SimplifyCondition(s, tp.Condition())
 			if err != nil {
 				return err
 			}
-			tbl.Tuples[i] = faure.NewTuple(tp.Values, c)
+			simplified[i] = faure.NewTuple(tp.Values, c)
 		}
+		tbl.Tuples = simplified
 	}
 	return nil
 }

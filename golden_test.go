@@ -94,15 +94,62 @@ func goldenDumps(t *testing.T, noPlan bool) map[string]string {
 		t.Fatal(err)
 	}
 	eval("probeorder", prog, db)
+
+	// Round snapshots: r(1, 3) needs r(1, 2), which round zero derives,
+	// so it is derived one round later, after r(5, 6). A join that saw
+	// same-round commits would emit r(1, 3) first.
+	prog, err = faure.Parse(`
+		r(x, y) :- e(x, y).
+		r(x, z) :- r(x, y), e(y, z).
+		r(x, y) :- g(x, y).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err = faure.ParseDatabase(`e(1, 2). e(2, 3). g(5, 6).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval("sameround", prog, db)
+
+	// Two increments over the q4-q5 result: EvalIncrement's own rows
+	// and their order, not only their agreement with Eval.
+	increment := func(prev *faure.Database, src string) *faure.Database {
+		t.Helper()
+		facts, err := faure.ParseDatabase(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := faure.EvalIncrement(faure.ReachabilityProgram(), prev,
+			map[string][]faure.Tuple{"fwd": facts.Table("fwd").Tuples}, opts)
+		if err != nil {
+			t.Fatalf("%s increment: %v", tag, err)
+		}
+		return res.DB
+	}
+	inc := increment(reach, `
+		var $y in {0, 1}.
+		fwd('10.0.0.0/24', 54, 99).
+		fwd('10.0.0.0/24', 3, 1)[$y = 1].
+		fwd('10.0.1.0/24', 16, 54).
+	`)
+	inc = increment(inc, `
+		fwd('10.0.0.0/24', 99, 100).
+		fwd('10.0.1.0/24', 7, 5).
+	`)
+	sum := sha256.Sum256([]byte(dumpTables(inc)))
+	out["increment"] = hex.EncodeToString(sum[:])
 	return out
 }
 
 // TestGoldenOrderedDumps pins the engine's exact output — every table,
 // condition and row, in emission order — to recorded hashes, taken
 // from the engine as it was before rules were compiled into slot
-// plans. Every other determinism test compares the engine with itself,
-// so a change of emission order shared by both planner settings would
-// pass them; this one does not.
+// plans; sameround and increment were recorded before commits went
+// straight into the store under round watermarks. Every other
+// determinism test compares the engine with itself, so a change of
+// emission order shared by both planner settings would pass them; this
+// one does not.
 func TestGoldenOrderedDumps(t *testing.T) {
 	want := map[string]string{
 		"q4-q5":      "468227413462269b5170a4765df53db15cba72369273acd5f7ce0b2addedb088",
@@ -112,6 +159,8 @@ func TestGoldenOrderedDumps(t *testing.T) {
 		"join":       "681d7f401fabc13c1125536a69b8be72a44688846d938e70a4ab3224f3f512bd",
 		"headcond":   "047d001ca628b1699a57214a109aa92ced5b8614107cb2c61038340d7c7ec12b",
 		"probeorder": "ed6a5a7b2d3a932c398edd9c796c9dfd9bf873f4ed2403ec78168c0bf716ab6b",
+		"sameround":  "c8321a8160ad128a4bef2b3a2b904e0aad15ddbfbd9779fb5b401d002bf45c01",
+		"increment":  "8f013d4ec26d30f61b27d2cc0d353aa584da046d5147234f122d855a16763640",
 	}
 	for _, noPlan := range []bool{false, true} {
 		got := goldenDumps(t, noPlan)

@@ -90,8 +90,9 @@ func tablePrefix(got, full *faure.Database) string {
 // mid-evaluation. A tripped decision is never cached, so the truncated
 // result is (a) deterministic across repeats, (b) a row-for-row prefix
 // of the full result — a tripped decision never commits a wrong tuple
-// — and (c) a fresh unbudgeted evaluation afterwards still produces the
-// full, untainted result.
+// — that keeps every commit made before the trip, and (c) a fresh
+// unbudgeted evaluation afterwards still produces the full, untainted
+// result.
 func TestIncrementalBudgetTripRollback(t *testing.T) {
 	r := faure.GenerateRIB(faure.RIBConfig{Prefixes: 80, PoolSize: 10, Seed: 3})
 	fwd := r.ForwardingDatabase()
@@ -115,6 +116,11 @@ func TestIncrementalBudgetTripRollback(t *testing.T) {
 		got := dumpTables(res.DB)
 		if got == wantFull {
 			t.Fatal("tripped run produced the full result; the budget did nothing")
+		}
+		// The input has no reach rows, so every one is a commit of this
+		// run: a shorter prefix would still be a prefix.
+		if n := res.DB.Table("reach").Len(); int64(n) != res.Stats.Derived {
+			t.Errorf("truncated reach holds %d rows, but %d were committed", n, res.Stats.Derived)
 		}
 		return got, res.DB
 	}

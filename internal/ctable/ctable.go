@@ -356,11 +356,12 @@ func (db *Database) EachWorld(vars []string, fn func(World) bool) error {
 // exact-duplicate rows (same data part) by OR-ing their conditions.
 // It returns the number of tuples removed. This mirrors step (3) of
 // the paper's PostgreSQL implementation, where Z3 deletes
-// contradictory tuples.
+// contradictory tuples. Each table gets a new tuple slice: an
+// evaluation result's tables share their arrays with other tables.
 func (db *Database) Normalize(s *solver.Solver) (int, error) {
 	removed := 0
 	for _, t := range db.Tables {
-		kept := t.Tuples[:0]
+		kept := make([]Tuple, 0, len(t.Tuples))
 		byData := map[string]int{}
 		for _, tp := range t.Tuples {
 			sat, err := s.Satisfiable(tp.Condition())

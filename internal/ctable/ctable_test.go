@@ -144,6 +144,13 @@ func TestNormalize(t *testing.T) {
 	tbl.MustInsert(cond.Compare(x, cond.Eq, cond.Int(0)), cond.Str("B"))
 	tbl.MustInsert(cond.Compare(x, cond.Eq, cond.Int(1)), cond.Str("B"))
 	db.AddTable(tbl)
+	// Another table sharing the array (as evaluation results do) keeps
+	// its rows.
+	shared := tbl.Tuples
+	before := make([]string, len(shared))
+	for i, tp := range shared {
+		before[i] = tp.Key()
+	}
 
 	s := solver.New(db.Doms)
 	removed, err := db.Normalize(s)
@@ -160,6 +167,11 @@ func TestNormalize(t *testing.T) {
 	ok, err := s.Valid(merged.Condition())
 	if err != nil || !ok {
 		t.Errorf("merged condition should be valid (x=0 || x=1), got %v", merged.Condition())
+	}
+	for i, tp := range shared {
+		if tp.Key() != before[i] {
+			t.Errorf("Normalize wrote row %d of the array it read: %q -> %q", i, before[i], tp.Key())
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 //	faurelog.increment.commit — after incremental propagation converges, before
 //	                            the result database is assembled (the increment's
 //	                            commit point)
-//	relstore.insert           — every Relation.Insert
+//	relstore.insert           — every Relation.Append (Insert included)
 //	minisql.loop              — top of every LOOP pass
 //	rewrite.apply             — once per change while ApplyBudgeted materialises
 //	                            an update (deletes first, then inserts), so the

@@ -22,6 +22,7 @@ import (
 
 	"faure/internal/cond"
 	"faure/internal/ctable"
+	"faure/internal/relstore"
 )
 
 // operand is a compiled term of a comparison or the head: a program
@@ -256,18 +257,19 @@ type compiledRule struct {
 	condWhere string
 	relWhere  string
 
-	// plans[i+1] is the rule compiled with body literal i fed by the
-	// delta (nil for negated literals); plans[0] is the full
-	// application.
+	// plans[i+1] is the rule compiled with body literal i fed (nil for
+	// negated literals); plans[0] is the full application.
 	plans []*rulePlan
 
 	// groups is the head relation's group table, shared with every
-	// other rule deriving into it (see newEngine).
+	// other rule deriving into it (see newEngine); rel is the head
+	// relation in the store, set when the rule's stratum starts.
 	groups groupTable
+	rel    *relstore.Relation
 }
 
-// plan returns the rule compiled for the given delta position (-1 for
-// a full application).
+// plan returns the rule compiled with the given body literal fed (-1
+// for a full application).
 func (cr *compiledRule) plan(deltaIdx int) *rulePlan { return cr.plans[deltaIdx+1] }
 
 // groundFormulas builds the rule's binding-independent conditions once.
@@ -294,7 +296,7 @@ type rulePlan struct {
 	*compiledRule
 	lits []litPlan
 	nPos int  // lits[:nPos] are positive
-	fed  bool // lits[0] reads the delta slice instead of the store
+	fed  bool // lits[0] reads the unit's index range of its relation
 }
 
 // compileRule compiles a validated rule for every delta position.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -104,6 +105,13 @@ func (o Options) maxIters() int {
 // Result is the outcome of an evaluation: the database extended with
 // the derived relations, plus statistics. Derivation trees come from
 // the recorder passed as Options.Prov (see internal/prov).
+//
+// DB's tables are fresh Table values, but their Tuples share arrays
+// with the input database's tables, with the engine's store and with
+// each other, capacity clipped. Table.Insert and append reallocate, so
+// growing a result table leaves every other table as it was; writing
+// an element in place (tbl.Tuples[i] = ...) writes the shared array
+// and must not be done. Build a new slice instead.
 type Result struct {
 	DB    *ctable.Database
 	Stats Stats
@@ -120,30 +128,18 @@ func (r *Result) Table(name string) *ctable.Table { return r.DB.Table(name) }
 
 // Eval computes the program's fixpoint over the c-table database and
 // returns the database extended with every derived relation. The input
-// database is not modified. Derived relations shadow same-named input
-// relations in the result. Such an input relation's rows appear once
-// in the result, ahead of the derivations, and take part in dedup and
-// absorption like committed derivations, so evaluating a program over
-// its own result derives nothing.
+// database is not modified, and the result shares its tuple arrays (see
+// Result). Derived relations shadow same-named input relations in the
+// result. Such an input relation's rows appear once in the result,
+// ahead of the derivations, and take part in dedup and absorption like
+// committed derivations, so evaluating a program over its own result
+// derives nothing.
 func Eval(prog *Program, db *ctable.Database, opts Options) (*Result, error) {
 	e, err := newEngine(prog, db, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.run(); err != nil {
-		// Exceeding a budget is not an error path: surface the partial
-		// result, flagged with the exhausted budget.
-		if ex := asExceeded(err); ex != nil {
-			res, rerr := e.result()
-			if rerr != nil {
-				return nil, rerr
-			}
-			res.Truncated = ex
-			return res, nil
-		}
-		return nil, err
-	}
-	return e.result()
+	return e.eval(nil)
 }
 
 // asExceeded extracts a budget-exhaustion record from err, mapping raw
@@ -184,22 +180,17 @@ type engine struct {
 	opts  Options
 	// store holds only the relations the program reads or writes (plus
 	// the relations an increment adds to), loaded before the first
-	// round; every other input table reaches the result through
-	// db.Clone.
+	// round; every other input table reaches the result as it is.
 	store *relstore.Store
 	sol   *solver.Solver
-	// pending buffers the tuples committed during the current round;
-	// they reach the relation store only at the round barrier, so every
-	// join in a round reads the store as of the round's start. This
-	// snapshot (Jacobi-style) round fixes the round each tuple is
-	// derived in, and with it the engine's row order, which
-	// golden_test.go pins: a derivation that needs a same-round tuple
-	// fires one round later, through its delta.
-	pending []pendingInsert
-	// derived names the predicates the program defines, in insertion
-	// order, to build the result database; extraExport lists EDB
-	// relations mutated in place (incremental insertions) that the
-	// result must also carry.
+	// since is nil for Eval. For EvalIncrement it holds each store
+	// relation's length before the new facts were seeded (a relation
+	// missing from it started empty): the rows past it are what the
+	// increment feeds its rules.
+	since map[string]int
+	// derivedOrder names the predicates the program defines, to build
+	// the result database; extraExport lists EDB relations mutated in
+	// place (incremental insertions) that the result must also carry.
 	derivedOrder []string
 	extraExport  []string
 	arity        map[string]int
@@ -265,6 +256,9 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 		e.provStart = opts.Prov.Stats()
 	}
 	e.needSrcs = e.prov != nil
+	for pred := range prog.IDB() {
+		e.derivedOrder = append(e.derivedOrder, pred)
+	}
 	e.rules = make([]*compiledRule, len(prog.Rules))
 	for i, r := range prog.Rules {
 		cr, err := compileRule(r, e.needSrcs)
@@ -358,21 +352,34 @@ func (e *engine) timedImpliesFrom(f, g, base *cond.Formula) (bool, error) {
 	return ok, err
 }
 
-func (e *engine) run() error {
+// eval runs the strata, unless err (a trip while EvalIncrement seeded
+// its facts) already stopped the run; then the deferred final prune
+// (when eager pruning is off and the run got this far without error),
+// the phase split, the capture of every counter the engine does not
+// bump in place, and their publication. A budget trip or cancellation
+// is not an error: the result then holds every tuple committed before
+// it, flagged with the exhausted budget.
+func (e *engine) eval(err error) (*Result, error) {
 	start := time.Now()
 	var evalSpan obs.Span
 	if e.obsOn {
-		evalSpan = e.o.StartSpan("eval", obs.Int("rules", int64(len(e.prog.Rules))))
+		attrs := []obs.Attr{obs.Int("rules", int64(len(e.prog.Rules)))}
+		if e.since != nil {
+			attrs = append(attrs, obs.Bool("incremental", true))
+		}
+		evalSpan = e.o.StartSpan("eval", attrs...)
 	}
-	return e.finish(start, evalSpan, e.runStrata(evalSpan))
-}
-
-// finish is the end-of-run step Eval and EvalIncrement share: the
-// deferred final prune (when eager pruning is off and the run got this
-// far without error), then the phase split, the capture of every
-// counter the engine does not bump in place, and their publication. It
-// returns err, or the final prune's error.
-func (e *engine) finish(start time.Time, evalSpan obs.Span, err error) error {
+	if err == nil {
+		err = e.runStrata(evalSpan)
+	}
+	// The increment's commit point: propagation has converged and the
+	// result database is about to be assembled. Tests arm this point to
+	// make a mid-update crash deterministic (the serve writer treats the
+	// error as a failed apply and rolls back to the previous
+	// generation).
+	if err == nil && e.since != nil && faultinject.Armed() {
+		err = faultinject.Fire(faultinject.FaurelogIncrementCommit)
+	}
 	if err == nil && e.opts.NoEagerPrune {
 		var sp obs.Span
 		if e.obsOn {
@@ -396,7 +403,16 @@ func (e *engine) finish(start time.Time, evalSpan obs.Span, err error) error {
 		e.stats.report(e.o, evalSpan, e.prov != nil)
 		evalSpan.End()
 	}
-	return err
+	if err == nil {
+		return e.result(), nil
+	}
+	ex := asExceeded(err)
+	if ex == nil {
+		return nil, err
+	}
+	res := e.result()
+	res.Truncated = ex
+	return res, nil
 }
 
 // captureProvStats folds the provenance recorder's counters into the
@@ -456,93 +472,114 @@ func (e *engine) runStrata(evalSpan obs.Span) error {
 	if err != nil {
 		return err
 	}
-	idb := e.prog.IDB()
-	for pred := range idb {
-		e.derivedOrder = append(e.derivedOrder, pred)
-	}
 	for si, preds := range strata {
-		rules, inStratum := e.stratumRules(preds)
-		if err := e.evalStratum(rules, inStratum, evalSpan, si); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stratumRules returns the compiled rules defining one stratum's
-// predicates, in program order, and the stratum's predicate set.
-func (e *engine) stratumRules(preds []string) ([]*compiledRule, map[string]bool) {
-	inStratum := map[string]bool{}
-	for _, pr := range preds {
-		inStratum[pr] = true
-	}
-	var rules []*compiledRule
-	for _, cr := range e.rules {
-		if inStratum[cr.pred] {
-			rules = append(rules, cr)
-		}
-	}
-	return rules, inStratum
-}
-
-// delta is the per-round set of newly derived tuples for the recursive
-// predicates of a stratum.
-type delta map[string][]ctable.Tuple
-
-// unit is one rule application of a round: a compiled rule plan with,
-// when the plan is fed, its first literal restricted to a delta slice.
-type unit struct {
-	p     *rulePlan
-	delta []ctable.Tuple
-}
-
-func (e *engine) evalStratum(rules []*compiledRule, recursive map[string]bool, evalSpan obs.Span, stratum int) error {
-	for _, cr := range rules {
-		e.store.Ensure(cr.pred, len(cr.head))
-	}
-	cur := delta{}
-	sink := func(pred string, tp ctable.Tuple) {
-		cur[pred] = append(cur[pred], tp)
-	}
-	// Round zero: evaluate every rule in full.
-	units := make([]unit, 0, len(rules))
-	for _, cr := range rules {
-		units = append(units, unit{p: cr.plan(-1)})
-	}
-	if err := e.runRound(units, sink, evalSpan, stratum, 0); err != nil {
-		return err
-	}
-	for iter := 0; len(cur) > 0; iter++ {
-		e.stats.Iterations++
-		if iter >= e.opts.maxIters() {
-			return fmt.Errorf("faurelog: fixpoint did not converge within %d iterations", e.opts.maxIters())
-		}
-		prev := cur
-		cur = delta{}
-		units = units[:0]
-		for _, cr := range rules {
-			for i, a := range cr.rule.Body {
-				if a.Neg || !recursive[a.Pred] {
-					continue
-				}
-				d := prev[a.Pred]
-				if len(d) == 0 {
-					continue
-				}
-				units = append(units, unit{p: cr.plan(i), delta: d})
+		var rules []*compiledRule
+		for _, cr := range e.rules {
+			if slices.Contains(preds, cr.pred) {
+				rules = append(rules, cr)
 			}
 		}
-		if err := e.runRound(units, sink, evalSpan, stratum, iter+1); err != nil {
+		if err := e.evalStratum(rules, evalSpan, si); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runRound runs one fixpoint round's units in order — checkpoint,
-// iteration span, one rule application per unit — and then flushes the
-// round's commits into the store.
-func (e *engine) runRound(units []unit, sink func(string, ctable.Tuple), evalSpan obs.Span, stratum, round int) error {
+// unit is one rule application of a round: a compiled rule plan and,
+// when the plan is fed, the index range [lo, hi) of its first literal's
+// relation that the literal reads.
+type unit struct {
+	p      *rulePlan
+	lo, hi int
+}
+
+// fedUnits appends to units, for each rule in program order and each
+// of its positive body literals in written order, the application
+// whose fed literal reads the rows rows(pred) returns for it; an empty
+// range adds none.
+func fedUnits(units []unit, rules []*compiledRule, rows func(pred string) (lo, hi int)) []unit {
+	for _, cr := range rules {
+		for i, a := range cr.rule.Body {
+			if a.Neg {
+				continue
+			}
+			if lo, hi := rows(a.Pred); lo < hi {
+				units = append(units, unit{p: cr.plan(i), lo: lo, hi: hi})
+			}
+		}
+	}
+	return units
+}
+
+// evalStratum runs one stratum's rounds to fixpoint. Round zero applies
+// every rule in full; an increment's round zero instead feeds every
+// positive literal the rows its relation gained since the increment
+// began. Each later round feeds the rows the stratum's heads gained in
+// the round before it, and runs while there are any. Iterations counts
+// the rounds after round zero.
+func (e *engine) evalStratum(rules []*compiledRule, evalSpan obs.Span, stratum int) error {
+	var heads []*relstore.Relation
+	for _, cr := range rules {
+		cr.rel = e.store.Ensure(cr.pred, len(cr.head))
+		if !slices.Contains(heads, cr.rel) {
+			heads = append(heads, cr.rel)
+		}
+	}
+	units := make([]unit, 0, len(rules))
+	if e.since == nil {
+		for _, cr := range rules {
+			units = append(units, unit{p: cr.plan(-1)})
+		}
+	} else {
+		units = fedUnits(units, rules, func(pred string) (int, int) {
+			if rel := e.store.Rel(pred); rel != nil {
+				return e.since[pred], rel.Len()
+			}
+			return 0, 0
+		})
+	}
+	// fresh[i] is the index range heads[i] gained in the last round.
+	fresh := make([][2]int, len(heads))
+	gained := func(pred string) (int, int) {
+		for i, h := range heads {
+			if h.Name == pred {
+				return fresh[i][0], fresh[i][1]
+			}
+		}
+		return 0, 0
+	}
+	for round := 0; ; round++ {
+		if round > 0 {
+			e.stats.Iterations++
+			if round > e.opts.maxIters() {
+				return fmt.Errorf("faurelog: fixpoint did not converge within %d iterations", e.opts.maxIters())
+			}
+		}
+		err := e.runRound(units, evalSpan, stratum, round)
+		// Round barrier: the tuples committed this round become visible
+		// to the next round's joins. Until here every join of the round
+		// read the store as of the round's start. This snapshot
+		// (Jacobi-style) round fixes the round each tuple is derived in,
+		// and with it the engine's row order, which golden_test.go pins:
+		// a derivation that needs a same-round tuple fires one round
+		// later. On a mid-round budget trip the commits made so far
+		// still stand.
+		grew := false
+		for i, h := range heads {
+			fresh[i][0], fresh[i][1] = h.Publish()
+			grew = grew || fresh[i][0] < fresh[i][1]
+		}
+		if err != nil || !grew {
+			return err
+		}
+		units = fedUnits(units[:0], rules, gained)
+	}
+}
+
+// runRound runs one fixpoint round's units in order: checkpoint,
+// iteration span, one rule application per unit.
+func (e *engine) runRound(units []unit, evalSpan obs.Span, stratum, round int) error {
 	if err := e.checkpoint(stratum, round); err != nil {
 		return err
 	}
@@ -555,15 +592,9 @@ func (e *engine) runRound(units []unit, sink func(string, ctable.Tuple), evalSpa
 	}
 	var err error
 	for _, u := range units {
-		if err = e.deriveRuleObserved(u.p, u.delta, sink, itSpan); err != nil {
+		if err = e.deriveRuleObserved(u, itSpan); err != nil {
 			break
 		}
-	}
-	// Round barrier: the tuples committed this round become visible to
-	// the next round's joins. On a mid-round budget trip the commits
-	// made so far still stand.
-	if ferr := e.flushPending(); err == nil {
-		err = ferr
 	}
 	if e.obsOn {
 		itSpan.End()
@@ -571,25 +602,6 @@ func (e *engine) runRound(units []unit, sink func(string, ctable.Tuple), evalSpa
 	if err != nil {
 		return e.annotate(err, stratum, round)
 	}
-	return nil
-}
-
-// pendingInsert is one committed tuple awaiting the round barrier.
-type pendingInsert struct {
-	pred string
-	tp   ctable.Tuple
-}
-
-// flushPending moves the round's committed tuples into the relation
-// store.
-func (e *engine) flushPending() error {
-	for _, pi := range e.pending {
-		rel := e.store.Ensure(pi.pred, len(pi.tp.Values))
-		if err := rel.Insert(pi.tp); err != nil {
-			return err
-		}
-	}
-	e.pending = e.pending[:0]
 	return nil
 }
 
@@ -622,27 +634,27 @@ func (e *engine) annotate(err error, stratum, round int) error {
 // deriveRuleObserved wraps deriveRule in a "rule" span recording the
 // head predicate and how many tuples the application derived. With
 // observation off it is a tail call into deriveRule.
-func (e *engine) deriveRuleObserved(p *rulePlan, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple), itSpan obs.Span) error {
+func (e *engine) deriveRuleObserved(u unit, itSpan obs.Span) error {
 	if !e.obsOn {
-		return e.deriveRule(p, deltaTuples, sink)
+		return e.deriveRule(u)
 	}
-	sp := itSpan.StartChild("rule", obs.String("head", p.pred))
+	sp := itSpan.StartChild("rule", obs.String("head", u.p.pred))
 	before := e.stats.Derived
-	err := e.deriveRule(p, deltaTuples, sink)
+	err := e.deriveRule(u)
 	derived := e.stats.Derived - before
 	sp.SetAttrs(obs.Int("derived", derived))
 	sp.End()
-	e.o.Count("eval.rule_derived."+p.pred, derived)
+	e.o.Count("eval.rule_derived."+u.p.pred, derived)
 	return err
 }
 
 // deriveRule runs one rule application on the executor: discovery in
 // the planner's order when the plan reorders the positive literals, in
 // written order otherwise (NoPlan, one positive literal, or a plan
-// equal to written order); the fed literal reads deltaTuples. Every
-// match reaches emit in written order, and emit passes each committed
-// tuple to sink.
-func (e *engine) deriveRule(p *rulePlan, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple)) error {
+// equal to written order); the fed literal reads the unit's range.
+// Every match reaches emit in written order.
+func (e *engine) deriveRule(u unit) error {
+	p := u.p
 	// Per-rule-application poll; the empty location is filled in with
 	// the stratum and round by the caller's annotate.
 	if err := e.bud.Check(""); err != nil {
@@ -660,7 +672,7 @@ func (e *engine) deriveRule(p *rulePlan, deltaTuples []ctable.Tuple, sink func(s
 			order = append(order, s)
 		}
 	}
-	return e.x.run(p, deltaTuples, order, reordered, sink)
+	return e.x.run(u, order, reordered)
 }
 
 // negation computes the "not derivable" condition for a negated
@@ -735,7 +747,7 @@ func (e *engine) negation(l *litPlan, rel *relstore.Relation, slots []cond.Term)
 // and srcs slices are only valid during the call. It instantiates the
 // rule head under the bindings (prepareEmit), then dedups, prunes,
 // absorbs and inserts the tuple (commit).
-func (e *engine) emit(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source, sink func(string, ctable.Tuple)) error {
+func (e *engine) emit(p *rulePlan, slots []cond.Term, conds []*cond.Formula, srcs []Source) error {
 	pr, live, err := e.prepareEmit(p, slots, conds, srcs)
 	if err != nil {
 		return err
@@ -744,7 +756,7 @@ func (e *engine) emit(p *rulePlan, slots []cond.Term, conds []*cond.Formula, src
 		e.stats.Pruned++
 		return nil
 	}
-	return e.commit(pr, sink)
+	return e.commit(pr)
 }
 
 // prepared is the instantiated head tuple of an emission with its
@@ -833,10 +845,11 @@ func (e *engine) prepareEmit(p *rulePlan, slots []cond.Term, conds []*cond.Formu
 }
 
 // commit is the deciding half of an emission: dedup, eager prune,
-// absorption, budget charge, insert, provenance, sink. Every decision
+// absorption, budget charge, append to the head relation (above its
+// watermark until the round barrier), provenance. Every decision
 // depends on the emissions committed before it, so tables follow from
 // the emission order alone.
-func (e *engine) commit(p prepared, sink func(string, ctable.Tuple)) error {
+func (e *engine) commit(p prepared) error {
 	groups := p.rule.groups
 	g := groups[p.dataKey]
 	if slices.Contains(g.conds, p.cond) {
@@ -853,12 +866,13 @@ func (e *engine) commit(p prepared, sink func(string, ctable.Tuple)) error {
 	if err := e.bud.AddTuples(1, p.rule.relWhere); err != nil {
 		return err
 	}
-	e.pending = append(e.pending, pendingInsert{pred: p.pred, tp: p.tp})
+	if err := p.rule.rel.Append(p.tp); err != nil {
+		return err
+	}
 	e.stats.Derived++
 	if e.prov != nil {
 		e.recordProv(&p)
 	}
-	sink(p.pred, p.tp)
 	return nil
 }
 
@@ -1054,8 +1068,16 @@ func (e *engine) finalPrune() error {
 	return nil
 }
 
-func (e *engine) result() (*Result, error) {
-	out := e.db.Clone()
+// result assembles the result database (see Result): a fresh Table
+// per input table, sharing its tuples, and one per relation the run
+// wrote, sharing the store's.
+func (e *engine) result() *Result {
+	out := ctable.NewDatabase()
+	maps.Copy(out.Doms, e.db.Doms)
+	for name, t := range e.db.Tables {
+		n := len(t.Tuples)
+		out.Tables[name] = &ctable.Table{Schema: t.Schema, Tuples: t.Tuples[:n:n]}
+	}
 	for _, pred := range append(append([]string{}, e.extraExport...), e.derivedOrder...) {
 		rel := e.store.Rel(pred)
 		if rel == nil {
@@ -1067,7 +1089,7 @@ func (e *engine) result() (*Result, error) {
 		}
 		out.AddTable(rel.Table(attrs))
 	}
-	return &Result{DB: out, Stats: e.stats}, nil
+	return &Result{DB: out, Stats: e.stats}
 }
 
 // Stratify orders the program's IDB predicates for evaluation: it

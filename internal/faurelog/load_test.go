@@ -73,6 +73,44 @@ func checkUntouched(t *testing.T, what string, in []ctable.Tuple, before []strin
 	}
 }
 
+// checkInsertsStayOut calls Insert on the result's edge, other and
+// reach tables, then asserts that every table of in, spare capacity
+// included, still reads as before. Result tables share arrays with the
+// input (see Result); a result that reused the input's *Table values,
+// or handed out an unclipped array, fails.
+func checkInsertsStayOut(t *testing.T, what string, in *ctable.Database, res *Result) {
+	t.Helper()
+	before := map[string][]string{}
+	lens := map[string]int{}
+	for name, tbl := range in.Tables {
+		before[name], lens[name] = snapshot(tbl.Tuples), tbl.Len()
+	}
+	for _, name := range []string{"edge", "other", "reach"} {
+		tbl := res.DB.Table(name)
+		if tbl == nil {
+			t.Fatalf("%s: result has no %s table", what, name)
+		}
+		if err := tbl.Insert(edge(90, 91)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, tbl := range in.Tables {
+		if tbl.Len() != lens[name] {
+			t.Errorf("%s: inserting into the result grew input %s from %d to %d rows", what, name, lens[name], tbl.Len())
+		}
+		after := snapshot(tbl.Tuples)
+		if len(after) != len(before[name]) {
+			t.Errorf("%s: input %s capacity changed: %d -> %d", what, name, len(before[name]), len(after))
+			continue
+		}
+		for i := range after {
+			if after[i] != before[name][i] {
+				t.Errorf("%s: input %s element %d changed: %q -> %q", what, name, i, before[name][i], after[i])
+			}
+		}
+	}
+}
+
 func edge(a, b int64) ctable.Tuple {
 	return ctable.NewTuple([]cond.Term{cond.Int(a), cond.Int(b)}, nil)
 }
@@ -82,12 +120,15 @@ func edge(a, b int64) ctable.Tuple {
 // name — and through EvalIncrement — adding facts to an input
 // relation. The store loads inputs by sharing their tuple slices, so
 // a load that did not clip the capacity would append the derived or
-// added tuples into the caller's array.
+// added tuples into the caller's array. Results share arrays the same
+// way, so inserting into any table of a result must not reach the
+// input either.
 func TestLoadSharesInputWithoutWritingIt(t *testing.T) {
 	closure := MustParse(`edge(x, z) :- edge(x, y), edge(y, z).`)
 	db := ctable.NewDatabase()
 	in := spareTable("edge", 2, []ctable.Tuple{edge(1, 2), edge(2, 3), edge(3, 4)})
 	db.AddTable(in)
+	db.AddTable(spareTable("other", 2, []ctable.Tuple{edge(7, 8)}))
 	before := snapshot(in.Tuples)
 	res, err := Eval(closure, db, Options{})
 	if err != nil {
@@ -111,6 +152,7 @@ func TestLoadSharesInputWithoutWritingIt(t *testing.T) {
 	prev.AddTable(prevEdge)
 	prevReach := spareTable("reach", 2, prev.Table("reach").Tuples)
 	prev.AddTable(prevReach)
+	prev.AddTable(spareTable("other", 2, prev.Table("other").Tuples))
 	beforeEdge, beforeReach := snapshot(prevEdge.Tuples), snapshot(prevReach.Tuples)
 	inc, err := EvalIncrement(reach, prev, map[string][]ctable.Tuple{"edge": {edge(4, 5)}}, Options{})
 	if err != nil {
@@ -121,6 +163,9 @@ func TestLoadSharesInputWithoutWritingIt(t *testing.T) {
 	}
 	checkUntouched(t, "EvalIncrement edge", prevEdge.Tuples, beforeEdge, inc)
 	checkUntouched(t, "EvalIncrement reach", prevReach.Tuples, beforeReach, inc)
+
+	checkInsertsStayOut(t, "Eval", db, base)
+	checkInsertsStayOut(t, "EvalIncrement", prev, inc)
 }
 
 // TestNarrowTableRefused feeds a one-column fwd table to a program that

@@ -21,9 +21,10 @@ package faurelog
 // by their estimated candidate count under sideways information
 // passing — pick the cheapest literal given the variables bound so far,
 // bind its variables, repeat — using the store's O(1) per-column
-// statistics (relstore.ColStats). The delta literal of a semi-naive
-// round stays pinned first: its tuples are an in-memory slice, and
-// every other literal benefits from the variables it binds.
+// statistics (relstore.ColStats). The fed literal of a semi-naive
+// round stays pinned first: it reads only the rows its relation gained
+// in the previous round, and every other literal benefits from the
+// variables it binds.
 // Options.NoPlan keeps the written order.
 //
 // Determinism argument. The evaluation's observable output — table
@@ -37,9 +38,9 @@ package faurelog
 // another order and intersects every bound column (plannedCandidates),
 // whose tuples come in store order, so it buffers its replayed matches
 // and sorts them by a key that encodes, per literal, the position
-// written order visits the matched tuple at — the delta slice position
-// for the fed literal, and (c-variable bucket bit, store index) for
-// store literals — before handing them to emit.
+// written order visits the matched tuple at — the store index for the
+// fed literal, and (c-variable bucket bit, store index) for the other
+// literals — before handing them to emit.
 //
 // The emission sequence is thus exactly the written-order sequence,
 // minus combinations whose condition is syntactically contradictory: a
@@ -60,7 +61,7 @@ import (
 )
 
 // planPositives greedily orders the plan's positive literals by
-// estimated cost. A fed delta literal (slot 0) stays pinned. It returns
+// estimated cost. A fed literal (slot 0) stays pinned. It returns
 // the canonical slot indexes in execution order and whether that
 // differs from the written order, and leaves in the executor's planned
 // literals the positives with their roles under that order. Ties keep
@@ -136,11 +137,11 @@ func (e *engine) estimateLiteral(l *litPlan, bound []bool) float64 {
 // comment). The engine owns one; its scratch is truncated, not
 // reallocated, by every application.
 type executor struct {
-	e     *engine
-	p     *rulePlan
-	delta []ctable.Tuple
-	sink  func(string, ctable.Tuple)
-	rels  []*relstore.Relation // per literal of p; nil for a missing relation
+	e *engine
+	p *rulePlan
+	// lo and hi bound the index range the fed literal reads.
+	lo, hi int
+	rels   []*relstore.Relation // per literal of p; nil for a missing relation
 
 	// order lists the positive slots in discovery order, and lits holds
 	// the positives' roles under it: the compiled p.lits in written
@@ -150,9 +151,8 @@ type executor struct {
 	reordered bool
 	planned   []litPlan
 
-	// Discovery: per slot, the matched tuple's store index (its delta
-	// position for the fed literal); and, in a reordered plan, the
-	// discovery-order bindings.
+	// Discovery: per slot, the matched tuple's store index; and, in a
+	// reordered plan, the discovery-order bindings.
 	hits   []int
 	dslots []cond.Term
 	// Replay, current for the slots below replayed: the written-order
@@ -189,8 +189,9 @@ func resize[T any](s []T, n int) []T {
 // run executes one rule application: discovery in order (a permutation
 // of p's positive slots; reordered when it is not the identity),
 // replay and emission in written order.
-func (x *executor) run(p *rulePlan, delta []ctable.Tuple, order []int, reordered bool, sink func(string, ctable.Tuple)) error {
-	x.p, x.delta, x.order, x.reordered, x.sink = p, delta, order, reordered, sink
+func (x *executor) run(u unit, order []int, reordered bool) error {
+	p := u.p
+	x.p, x.lo, x.hi, x.order, x.reordered = p, u.lo, u.hi, order, reordered
 	x.lits = p.lits
 	if reordered {
 		x.lits = x.planned
@@ -224,15 +225,15 @@ func (x *executor) extend(k int) error {
 		return x.leaf()
 	}
 	s := x.order[k]
+	rel := x.rels[s]
 	if s == 0 && x.p.fed {
-		for pos, tp := range x.delta {
-			if err := x.accept(k, tp, pos); err != nil {
+		for idx := x.lo; idx < x.hi; idx++ {
+			if err := x.accept(k, rel.Tuple(idx), idx); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	rel := x.rels[s]
 	if rel == nil {
 		return nil
 	}
@@ -250,7 +251,7 @@ func (x *executor) extend(k int) error {
 	return nil
 }
 
-// accept matches tp (at store index or delta position idx) to the k-th
+// accept matches tp (at store index idx) to the k-th
 // slot of the order, replays what it can, and extends the match one
 // level deeper. Written order replays each slot as discovery reaches
 // it, and the replay's matcher makes discovery's checks and bindings.
@@ -299,14 +300,6 @@ func discover(l *litPlan, tp ctable.Tuple, slots []cond.Term) bool {
 	return true
 }
 
-// tuple returns the tuple discovery matched at slot s.
-func (x *executor) tuple(s int) ctable.Tuple {
-	if s == 0 && x.p.fed {
-		return x.delta[x.hits[s]]
-	}
-	return x.rels[s].Tuple(x.hits[s])
-}
-
 // groupShift places candidates' constants-vs-c-variables bucket bit
 // above any realistic store index in the per-slot order key.
 const groupShift = 40
@@ -318,12 +311,12 @@ const groupShift = 40
 // (two constants claimed the same variable); no order may emit it.
 //
 // In a reordered plan it first records the slot's order key, the
-// position written order visits the tuple at: the delta slice position
-// for the fed literal; for a store literal the store index, with a bit
-// above it when the tuple is in the c-variable bucket of the column
-// candidates probes under the bindings of the slots before s.
+// position written order visits the tuple at: its store index, with a
+// bit above it, for a literal other than the fed one, when the tuple
+// is in the c-variable bucket of the column candidates probes under the
+// bindings of the slots before s.
 func (x *executor) replay(s int) bool {
-	l, tp := &x.p.lits[s], x.tuple(s)
+	l, tp := &x.p.lits[s], x.rels[s].Tuple(x.hits[s])
 	if x.reordered {
 		x.keys[s] = uint64(x.hits[s])
 		if s > 0 || !x.p.fed {
@@ -368,7 +361,7 @@ func (x *executor) leaf() error {
 		}
 	}
 	if !x.reordered {
-		return e.emit(p, x.m.slots, x.conds, x.srcs, x.sink)
+		return e.emit(p, x.m.slots, x.conds, x.srcs)
 	}
 	x.bufKeys = append(x.bufKeys, x.keys...)
 	x.bufSlots = append(x.bufSlots, x.m.slots...)
@@ -395,7 +388,7 @@ func (x *executor) emitSorted() error {
 			start = x.bufEnds[i-1]
 		}
 		end := x.bufEnds[i]
-		if err := x.e.emit(x.p, x.bufSlots[i*ns:(i+1)*ns], x.bufConds[start[0]:end[0]], x.bufSrcs[start[1]:end[1]], x.sink); err != nil {
+		if err := x.e.emit(x.p, x.bufSlots[i*ns:(i+1)*ns], x.bufConds[start[0]:end[0]], x.bufSrcs[start[1]:end[1]]); err != nil {
 			return err
 		}
 	}

@@ -26,7 +26,9 @@ type Stats struct {
 	Derived    int64 // tuples inserted into derived relations
 	Pruned     int64 // tuples dropped for contradictory conditions
 	Absorbed   int64 // tuples dropped by semantic absorption
-	Iterations int64 // total fixpoint rounds across strata
+	// Iterations counts the fixpoint rounds after each stratum's first,
+	// summed over the strata, for Eval and EvalIncrement alike.
+	Iterations int64
 	SatCalls   int64 // solver satisfiability decisions
 	// Incremental-solver counters (see internal/solver): decisions
 	// answered by an exact-key cached certificate, by a related

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"net"
 	"net/http"
@@ -24,10 +25,14 @@ import (
 //
 // It is started by the -debug-addr flag of the faure commands.
 type DebugServer struct {
-	srv       *http.Server
-	mux       *http.ServeMux
-	addr      net.Addr
-	done      chan struct{}
+	srv  *http.Server
+	mux  *http.ServeMux
+	addr net.Addr
+	done chan struct{}
+	// shutDown is closed once Close's Shutdown has returned: Serve
+	// returns as soon as the listener closes, before Shutdown closes
+	// the idle keep-alive connections, which can still serve requests.
+	shutDown  chan struct{}
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -41,8 +46,9 @@ func (d *DebugServer) Addr() string { return d.addr.String() }
 // http.ServeMux is safe for concurrent Handle/ServeHTTP.
 func (d *DebugServer) Handle(pattern string, h http.Handler) { d.mux.Handle(pattern, h) }
 
-// Done is closed once the serve loop has exited (after Close, a
-// context cancellation, or a listener error).
+// Done is closed once the server has stopped serving: after Close or a
+// context cancellation has shut it down, connections included, or
+// after a listener error ended the serve loop.
 func (d *DebugServer) Done() <-chan struct{} { return d.done }
 
 // shutdownGrace bounds how long Close waits for in-flight requests
@@ -61,6 +67,7 @@ func (d *DebugServer) Close() error {
 		if d.closeErr != nil {
 			_ = d.srv.Close()
 		}
+		close(d.shutDown)
 		<-d.done
 	})
 	return d.closeErr
@@ -91,10 +98,12 @@ func ServeDebugContext(ctx context.Context, addr string, reg *Registry) (*DebugS
 		return nil, err
 	}
 	srv := &http.Server{Handler: mux}
-	d := &DebugServer{srv: srv, mux: mux, addr: ln.Addr(), done: make(chan struct{})}
+	d := &DebugServer{srv: srv, mux: mux, addr: ln.Addr(), done: make(chan struct{}), shutDown: make(chan struct{})}
 	go func() {
 		defer close(d.done)
-		_ = srv.Serve(ln)
+		if errors.Is(srv.Serve(ln), http.ErrServerClosed) {
+			<-d.shutDown
+		}
 	}()
 	if ctx.Done() != nil {
 		go func() {

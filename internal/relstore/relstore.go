@@ -10,19 +10,29 @@
 // Indexes are built on demand, as PostgreSQL indexes exist only where a
 // query needs them: a column's index is built by the first probe that
 // reads it (Candidates, CandidatesMulti, ColStats) and kept up to date
-// by later inserts. A relation loaded from a c-table shares the table's
-// tuple slice (capacity clipped, so appends never write into the
-// caller's array) instead of copying it.
+// by later appends.
+//
+// A relation is append-only under a watermark: Append adds and indexes
+// a tuple above it, Publish raises it to the end, and Insert does both.
+// Len, All, Candidates and CandidatesMulti see only the tuples below
+// the watermark, so a fixpoint round can append its derivations to the
+// relations its joins read and publish them at the round barrier.
+//
+// Tuples are shared rather than copied. A relation loaded from a c-table
+// shares the table's tuple slice, and Table hands out the relation's.
+// Both clip the slice's capacity, so an append on either side
+// reallocates instead of writing into the other's array; writing an
+// element in place does not, and would show through to the other.
 //
 // Concurrency contract: reads (Rel, Tuple, All, Candidates,
-// CandidatesMulti, ColStats, Len) are safe from any number of
+// CandidatesMulti, ColStats, Len, Table) are safe from any number of
 // goroutines as long as no goroutine mutates the store concurrently
-// (Insert, Ensure, Replace, Load). A read may build a column index:
-// builds of one relation serialize on a per-relation lock and publish
-// the finished index atomically, so concurrent first probes of the same
-// column build it once and every reader sees either no index or a
-// complete one. A caller sharing a store across goroutines must
-// therefore phase its use: write only while nothing reads. The
+// (Append, Publish, Insert, Ensure, Replace, Load). A read may build a
+// column index: builds of one relation serialize on a per-relation lock
+// and publish the finished index atomically, so concurrent first probes
+// of the same column build it once and every reader sees either no
+// index or a complete one. A caller sharing a store across goroutines
+// must therefore phase its use: write only while nothing reads. The
 // probe/scan counters are atomic so concurrent readers do not race on
 // them.
 package relstore
@@ -43,6 +53,9 @@ type Relation struct {
 	Name   string
 	Arity  int
 	tuples []ctable.Tuple
+	// vis is the watermark: tuples[:vis] are published, the rest only
+	// appended.
+	vis int
 	// cols[c] is column c's index, nil until the column's first probe.
 	// mu serializes the builds; a finished index is published with one
 	// atomic store and never replaced.
@@ -142,7 +155,8 @@ func (r *Relation) ScanCount() int64 { return r.scans.Load() }
 
 // column is one column's index: consts[v] lists, in ascending store
 // order, the indexes of tuples holding constant v there; cvars lists
-// those holding a c-variable.
+// those holding a c-variable. The lists cover appended tuples too;
+// readers cut them at the watermark (below).
 type column struct {
 	consts map[cond.Term][]int
 	cvars  []int
@@ -155,6 +169,15 @@ func (c *column) add(v cond.Term, idx int) {
 	} else {
 		c.consts[v] = append(c.consts[v], idx)
 	}
+}
+
+// below returns the prefix of an ascending index list that lies below
+// the watermark vis.
+func below(l []int, vis int) []int {
+	if len(l) == 0 || l[len(l)-1] < vis {
+		return l
+	}
+	return l[:sort.SearchInts(l, vis)]
 }
 
 // NewRelation returns an empty indexed relation.
@@ -182,6 +205,7 @@ func FromTable(t *ctable.Table) *Relation {
 			break
 		}
 	}
+	r.vis = len(r.tuples)
 	return r
 }
 
@@ -205,8 +229,18 @@ func (r *Relation) column(c int) *column {
 	return col
 }
 
-// Insert adds a tuple and indexes its columns.
+// Insert adds a tuple, indexes its columns and publishes it.
 func (r *Relation) Insert(tp ctable.Tuple) error {
+	if err := r.Append(tp); err != nil {
+		return err
+	}
+	r.Publish()
+	return nil
+}
+
+// Append adds a tuple above the watermark and indexes its columns:
+// reads do not see it until Publish.
+func (r *Relation) Append(tp ctable.Tuple) error {
 	if faultinject.Armed() {
 		if err := faultinject.Fire(faultinject.RelstoreInsert); err != nil {
 			return err
@@ -230,13 +264,20 @@ func (r *Relation) Insert(tp ctable.Tuple) error {
 	return nil
 }
 
-// Len returns the tuple count.
-func (r *Relation) Len() int { return len(r.tuples) }
+// Publish raises the watermark over every appended tuple and returns
+// the index range [lo, hi) it made visible.
+func (r *Relation) Publish() (lo, hi int) {
+	lo, r.vis = r.vis, len(r.tuples)
+	return lo, r.vis
+}
+
+// Len returns the published tuple count: the watermark.
+func (r *Relation) Len() int { return r.vis }
 
 // Tuple returns the i-th tuple.
 func (r *Relation) Tuple(i int) ctable.Tuple { return r.tuples[i] }
 
-// All returns every tuple index (a full scan).
+// All returns every published tuple index (a full scan).
 func (r *Relation) All() []int {
 	r.scans.Add(1)
 	return r.allIdxs()
@@ -245,7 +286,7 @@ func (r *Relation) All() []int {
 // allIdxs builds the full index list without touching the counters, so
 // probe fallbacks are not double-counted as deliberate scans.
 func (r *Relation) allIdxs() []int {
-	out := make([]int, len(r.tuples))
+	out := make([]int, r.vis)
 	for i := range out {
 		out[i] = i
 	}
@@ -268,7 +309,7 @@ func (r *Relation) Candidates(col int, key cond.Term) []int {
 	}
 	r.probes.Add(1)
 	c := r.column(col)
-	consts, cvars := c.consts[key], c.cvars
+	consts, cvars := below(c.consts[key], r.vis), below(c.cvars, r.vis)
 	if len(cvars) == 0 {
 		return consts
 	}
@@ -283,8 +324,9 @@ func (r *Relation) Candidates(col int, key cond.Term) []int {
 
 // ColStats are the planner-facing per-column statistics: how selective
 // a constant probe on this column is expected to be. They are read off
-// the column's index (built on the first read), which Insert keeps
-// current, so reading them is O(1) after that.
+// the column's index (built on the first read), which Append keeps
+// current, so reading them is O(1) after that. They count appended
+// tuples too: an estimate needs no exact watermark.
 type ColStats struct {
 	Distinct int // distinct constant values indexed at this column
 	CVars    int // tuples holding a c-variable at this column
@@ -330,7 +372,7 @@ func (r *Relation) CandidatesMulti(cols []int, keys []cond.Term) []int {
 			continue
 		}
 		c := r.column(col)
-		consts, cvars := c.consts[keys[i]], c.cvars
+		consts, cvars := below(c.consts[keys[i]], r.vis), below(c.cvars, r.vis)
 		var l []int
 		switch {
 		case len(cvars) == 0:
@@ -387,7 +429,10 @@ func (r *Relation) CandidatesMulti(cols []int, keys []cond.Term) []int {
 	return out
 }
 
-// Table materialises the relation back into a c-table.
+// Table returns the published tuples as a c-table that shares the
+// relation's tuple array, capacity clipped: Insert or append on the
+// table reallocates, but writing one of its elements in place writes
+// the relation's, and every other table sharing the array.
 func (r *Relation) Table(attrs []string) *ctable.Table {
 	if attrs == nil {
 		attrs = make([]string, r.Arity)
@@ -395,9 +440,7 @@ func (r *Relation) Table(attrs []string) *ctable.Table {
 			attrs[i] = fmt.Sprintf("a%d", i)
 		}
 	}
-	t := &ctable.Table{Schema: ctable.Schema{Name: r.Name, Attrs: attrs}}
-	t.Tuples = append(t.Tuples, r.tuples...)
-	return t
+	return &ctable.Table{Schema: ctable.Schema{Name: r.Name, Attrs: attrs}, Tuples: r.tuples[:r.vis:r.vis]}
 }
 
 // Store is a set of indexed relations.
@@ -447,7 +490,7 @@ func (s *Store) Names() []string {
 	return out
 }
 
-// TotalTuples sums the tuple counts over all relations.
+// TotalTuples sums the published tuple counts over all relations.
 func (s *Store) TotalTuples() int {
 	n := 0
 	for _, r := range s.rels {

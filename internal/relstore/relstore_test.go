@@ -341,3 +341,70 @@ func TestEnsureAndReplace(t *testing.T) {
 		t.Errorf("Replace did not swap the relation")
 	}
 }
+
+// TestWatermarkReads checks that appended tuples stay invisible to
+// every read until Publish: Len, All, the fallback scans, Candidates
+// (constant bucket, c-variable list, the two merged) and
+// CandidatesMulti, on a column built before the appends and on one
+// first built while they sit above the watermark. Publish returns the
+// range it made visible, and Insert publishes at once.
+func TestWatermarkReads(t *testing.T) {
+	r := sampleRelation(t) // (1,2) (1,3) (2,3) ($n,9)
+	r.Candidates(0, cond.Int(1))
+	appendTuple := func(vs ...cond.Term) {
+		t.Helper()
+		if err := r.Append(ctable.NewTuple(vs, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendTuple(cond.Int(1), cond.Int(5))
+	appendTuple(cond.CVar("m"), cond.Int(5))
+	appendTuple(cond.Int(3), cond.Int(3))
+	check := func(what string, got, want []int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Errorf("%s = %v, want %v", what, got, want)
+			return
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s = %v, want %v", what, got, want)
+				return
+			}
+		}
+	}
+	reads := func(stage string, published int, merged, cvars, consts, multi []int) {
+		t.Helper()
+		all := make([]int, published)
+		for i := range all {
+			all[i] = i
+		}
+		if r.Len() != published {
+			t.Errorf("%s: Len = %d, want %d", stage, r.Len(), published)
+		}
+		check(stage+": All", r.All(), all)
+		check(stage+": c-variable key scan", r.Candidates(0, cond.CVar("z")), all)
+		check(stage+": multi-probe scan", r.CandidatesMulti([]int{0}, []cond.Term{cond.CVar("z")}), all)
+		// Candidates lists the constant bucket, then the c-variables.
+		check(stage+": constants and c-variables", r.Candidates(0, cond.Int(1)), merged)
+		check(stage+": c-variables only", r.Candidates(0, cond.Int(99)), cvars)
+		check(stage+": constants only, column built late", r.Candidates(1, cond.Int(3)), consts)
+		check(stage+": CandidatesMulti", r.CandidatesMulti([]int{0, 1}, []cond.Term{cond.Int(1), cond.Int(5)}), multi)
+	}
+	reads("appended", 4, []int{0, 1, 3}, []int{3}, []int{1, 2}, []int{})
+	if lo, hi := r.Publish(); lo != 4 || hi != 7 {
+		t.Errorf("Publish = [%d, %d), want [4, 7)", lo, hi)
+	}
+	reads("published", 7, []int{0, 1, 4, 3, 5}, []int{3, 5}, []int{1, 2, 6}, []int{4, 5})
+	if err := r.Insert(ctable.NewTuple([]cond.Term{cond.Int(1), cond.Int(3)}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	reads("inserted", 8, []int{0, 1, 4, 7, 3, 5}, []int{3, 5}, []int{1, 2, 6, 7}, []int{4, 5})
+	if lo, hi := r.Publish(); lo != hi {
+		t.Errorf("Publish after Insert = [%d, %d), want an empty range", lo, hi)
+	}
+	appendTuple(cond.Int(4), cond.Int(4))
+	if tbl := r.Table(nil); len(tbl.Tuples) != 8 || cap(tbl.Tuples) != 8 {
+		t.Errorf("Table holds %d tuples (capacity %d), want the 8 published", len(tbl.Tuples), cap(tbl.Tuples))
+	}
+}
