@@ -80,11 +80,11 @@ func TestRunJSONReport(t *testing.T) {
 	}
 	golden := benchReport{
 		Benchmark: "table4", Seed: 1, Pool: 10,
-		// The incremental-solver counters are exact on purpose: every
-		// workload must show zero search-reaching decisions (certificates
-		// and the fd fast path answer everything at this scale), and the
-		// set test must decide every absorption probe
-		// (AbsorbSetHits == AbsorbProbes).
+		// The solver counters are exact on purpose: every workload must
+		// show zero search-reaching decisions (the cache and the compiled
+		// fd tables answer everything at this scale), and the set test
+		// must decide every absorption probe (AbsorbSetHits ==
+		// AbsorbProbes).
 		Workloads: []benchWorkload{
 			{Name: "q4-q5", Prefixes: 50, Tuples: 1815, Stats: faure.Stats{Iterations: 6, Derived: 1815, Pruned: 520, AbsorbProbes: 228, AbsorbSetHits: 228, SatCalls: 2335,
 				SolverCacheHits: 2017, SolverFastPathHits: 318,
@@ -99,7 +99,7 @@ func TestRunJSONReport(t *testing.T) {
 				SolverCacheHits: 200, SolverFastPathHits: 93,
 				Probes: 1}},
 			{Name: "join", Prefixes: 50, Tuples: 1311, Stats: faure.Stats{Iterations: 3, Derived: 1784, Pruned: 2649, Absorbed: 1893, AbsorbProbes: 3054, AbsorbSetHits: 3054, SatCalls: 5717,
-				SolverCacheHits: 5335, SolverCertHits: 2, SolverFastPathHits: 380,
+				SolverCacheHits: 5335, SolverFastPathHits: 382,
 				Probes: 495, MultiProbes: 95, Scans: 11, Intersections: 26,
 				PlansPlanned: 2, PlansReordered: 2}},
 		},

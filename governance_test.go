@@ -53,10 +53,11 @@ func TestAcceptanceRingGovernance(t *testing.T) {
 	})
 
 	t.Run("solver-step-budget", func(t *testing.T) {
-		// The incremental solver (certificate replay, fd fast path and
-		// absorption's set test, one step per decision) finishes this
-		// workload in 2810 steps (628 before the set test; pure search
-		// needed more than 10k), so a 400-step budget trips it.
+		// The cached solver (the certificate cache, the compiled fd
+		// tables and absorption's set test, one step per decision)
+		// finishes this workload in 2810 steps (628 before the set test;
+		// pure search needed more than 10k), so a 400-step budget trips
+		// it.
 		bud := faure.NewBudget(nil, faure.Budget{SolverSteps: 400})
 		start := time.Now()
 		res, err := faure.Eval(prog, db, faure.WithBudget(faure.Options{}, bud))

@@ -6,10 +6,10 @@ import (
 	"faure"
 )
 
-// TestSolverCacheParity is the incremental solver's determinism
-// contract: certificate replay, DAG propagation, the compiled
-// finite-domain fast path and the absorption set test change how
-// conditions are decided, never what the engine derives. The full
+// TestSolverCacheParity is the cached solver's determinism contract:
+// the certificate cache, the compiled finite-domain tables and the
+// absorption set test change how conditions are decided, never what
+// the engine derives. The full
 // Table 4 chain, the join-stress query and ring reachability (the two
 // inputs whose absorption drops tuples) must be bit-for-bit identical
 // to a run with the certificate store disabled entirely: the

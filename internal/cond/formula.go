@@ -486,56 +486,6 @@ func (f *Formula) EvalGround() (bool, error) {
 	}
 }
 
-// EvalPartial evaluates f three-valued under a partial assignment of
-// its c-variables: lookup returns the value bound to a name, or
-// ok=false when unbound. It returns +1 when f is true under every
-// extension of the assignment, -1 when false under every extension,
-// and 0 when undetermined (an atom with an unbound c-variable, or a
-// type mix EvalGround would reject, blocks the verdict). Unlike Subst
-// it builds and interns nothing — the solver uses it to replay cached
-// witnesses against extended conditions at pointer-chasing cost.
-func (f *Formula) EvalPartial(lookup func(name string) (Term, bool)) int {
-	switch f.Kind {
-	case FTrue:
-		return 1
-	case FFalse:
-		return -1
-	case FAtom:
-		v, known, err := f.Atom.EvalUnder(lookup)
-		if !known || err != nil {
-			return 0
-		}
-		if v {
-			return 1
-		}
-		return -1
-	case FNot:
-		return -f.Sub[0].EvalPartial(lookup)
-	case FAnd:
-		r := 1
-		for _, s := range f.Sub {
-			switch s.EvalPartial(lookup) {
-			case -1:
-				return -1
-			case 0:
-				r = 0
-			}
-		}
-		return r
-	default: // FOr
-		r := -1
-		for _, s := range f.Sub {
-			switch s.EvalPartial(lookup) {
-			case 1:
-				return 1
-			case 0:
-				r = 0
-			}
-		}
-		return r
-	}
-}
-
 // Conjuncts returns the top-level conjuncts of f (f itself when it is
 // not a conjunction).
 func (f *Formula) Conjuncts() []*Formula {

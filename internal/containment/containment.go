@@ -149,20 +149,16 @@ func Subsumes(target Constraint, known []Constraint, doms solver.Domains, schema
 	return SubsumesWith(target, known, doms, schema, Opts{})
 }
 
-// SubsumesObserved is Subsumes with observability: o (nil disables)
-// receives a "containment.subsumes" span with one "containment.mapping"
-// child per target panic rule, and the category (i) check/outcome
-// counters. The inner evaluation and solver report through o as well.
-func SubsumesObserved(target Constraint, known []Constraint, doms solver.Domains, schema *Schema, o obs.Observer) (Result, error) {
-	return SubsumesWith(target, known, doms, schema, Opts{Obs: o})
-}
-
-// SubsumesWith is Subsumes with full cross-cutting context (observer
-// and budget). A budget trip anywhere in the check — the mapping
-// enumeration, the inner evaluation of the containers, the implication
-// solver — aborts it with the *budget.Exceeded as the error: an
-// incomplete panic derivation cannot soundly prove containment, so the
-// caller must degrade to Unknown rather than trust a partial answer.
+// SubsumesWith is Subsumes with full cross-cutting context. Its
+// observer (nil disables) receives a "containment.subsumes" span with
+// one "containment.mapping" child per target panic rule, and the
+// category (i) check/outcome counters; the inner evaluation and solver
+// report through it as well. A budget trip anywhere in the check — the
+// mapping enumeration, the inner evaluation of the containers, the
+// implication solver — aborts it with the *budget.Exceeded as the
+// error: an incomplete panic derivation cannot soundly prove
+// containment, so the caller must degrade to Unknown rather than trust
+// a partial answer.
 func SubsumesWith(target Constraint, known []Constraint, doms solver.Domains, schema *Schema, opt Opts) (Result, error) {
 	o := opt.Obs
 	obsOn := o != nil && o.Enabled()
@@ -273,10 +269,7 @@ func ruleContained(r faurelog.Rule, container *faurelog.Program, base map[string
 	if !sat {
 		return true, nil
 	}
-	// The assumption was just decided sat above, so passing it as the
-	// incremental base lets the solver replay its witness over the
-	// entailment check (assumption ∧ ¬panics entails it).
-	contained, err := s.ImpliesFrom(assumption, cond.Or(panics...), assumption)
+	contained, err := s.Implies(assumption, cond.Or(panics...))
 	if obsOn && err == nil {
 		span.SetAttrs(obs.Bool("contained", contained))
 	}

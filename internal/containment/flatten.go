@@ -6,7 +6,6 @@ import (
 
 	"faure/internal/cond"
 	"faure/internal/faurelog"
-	"faure/internal/obs"
 	"faure/internal/solver"
 )
 
@@ -285,13 +284,7 @@ func substHeadCond(ce faurelog.CondExpr, apply func(faurelog.Term) faurelog.Term
 // target, so constraints defined through intermediate predicates (like
 // the paper's C_lb and C_s) can appear on the left of ⊆.
 func SubsumesFlattened(target Constraint, known []Constraint, doms solver.Domains, schema *Schema) (Result, error) {
-	return SubsumesFlattenedObserved(target, known, doms, schema, nil)
-}
-
-// SubsumesFlattenedObserved is SubsumesFlattened with observability;
-// see SubsumesObserved.
-func SubsumesFlattenedObserved(target Constraint, known []Constraint, doms solver.Domains, schema *Schema, o obs.Observer) (Result, error) {
-	return SubsumesFlattenedWith(target, known, doms, schema, Opts{Obs: o})
+	return SubsumesFlattenedWith(target, known, doms, schema, Opts{})
 }
 
 // SubsumesFlattenedWith is SubsumesFlattened with full cross-cutting

@@ -41,17 +41,11 @@ func SubsumesAfterUpdate(target Constraint, u rewrite.Update, known []Constraint
 	return SubsumesAfterUpdateWith(target, u, known, doms, schema, Opts{})
 }
 
-// SubsumesAfterUpdateObserved is SubsumesAfterUpdate with
-// observability: o (nil disables) receives a
+// SubsumesAfterUpdateWith is SubsumesAfterUpdate with full
+// cross-cutting context. Its observer (nil disables) receives a
 // "containment.subsumes_after_update" span with one
 // "containment.mapping" child per target panic rule, and the category
-// (ii) check/outcome counters.
-func SubsumesAfterUpdateObserved(target Constraint, u rewrite.Update, known []Constraint, doms solver.Domains, schema *Schema, o obs.Observer) (Result, error) {
-	return SubsumesAfterUpdateWith(target, u, known, doms, schema, Opts{Obs: o})
-}
-
-// SubsumesAfterUpdateWith is SubsumesAfterUpdate with full
-// cross-cutting context; see SubsumesWith for budget semantics.
+// (ii) check/outcome counters; see SubsumesWith for budget semantics.
 func SubsumesAfterUpdateWith(target Constraint, u rewrite.Update, known []Constraint, doms solver.Domains, schema *Schema, opt Opts) (Result, error) {
 	o := opt.Obs
 	obsOn := o != nil && o.Enabled()

@@ -330,23 +330,17 @@ func (e *engine) noteArity(pred string, n int) {
 // timedSat wraps a solver call, attributing its latency to the solver
 // phase rather than the relational phase.
 func (e *engine) timedSat(f *cond.Formula) (bool, error) {
-	return e.timedSatFrom(f, nil)
-}
-
-// timedSatFrom passes the base condition's certificate hint through to
-// the incremental solver (see solver.SatisfiableFrom); nil base is a
-// plain satisfiability call.
-func (e *engine) timedSatFrom(f, base *cond.Formula) (bool, error) {
 	start := time.Now()
-	sat, err := e.sol.SatisfiableFrom(f, base)
+	sat, err := e.sol.Satisfiable(f)
 	e.stats.SolverTime += time.Since(start)
 	e.stats.SatCalls++
 	return sat, err
 }
 
-func (e *engine) timedImpliesFrom(f, g, base *cond.Formula) (bool, error) {
+// timedImplies is timedSat for an implication.
+func (e *engine) timedImplies(f, g *cond.Formula) (bool, error) {
 	start := time.Now()
-	ok, err := e.sol.ImpliesFrom(f, g, base)
+	ok, err := e.sol.Implies(f, g)
 	e.stats.SolverTime += time.Since(start)
 	e.stats.SatCalls++
 	return ok, err
@@ -763,14 +757,9 @@ func (e *engine) emit(p *rulePlan, slots []cond.Term, conds []*cond.Formula, src
 // canonical condition, precomputed dedup keys, and (when recording)
 // the derivation provenance.
 type prepared struct {
-	pred string
-	tp   ctable.Tuple
-	cond *cond.Formula
-	// base is the largest conjunct cond was built from — typically the
-	// source tuple's already-decided condition, which this round
-	// extended by a few atoms. The solver replays base's certificate
-	// (unsat verdict or satisfying witness) before searching cond.
-	base    *cond.Formula
+	pred    string
+	tp      ctable.Tuple
+	cond    *cond.Formula
 	key     ctable.TupleID
 	dataKey [2]uint64     // data-part hash, for absorption grouping
 	rule    *compiledRule // the deriving rule, for its strings
@@ -809,19 +798,6 @@ func (e *engine) prepareEmit(p *rulePlan, slots []cond.Term, conds []*cond.Formu
 	if err := e.bud.CheckCond(condition.NAtoms(), cr.condWhere); err != nil {
 		return prepared{}, false, err
 	}
-	// Incremental-solver base: the largest conjunct, typically a source
-	// tuple's already-decided condition. And() flattens, so the conjunct
-	// stays semantically entailed by condition even when it has no
-	// syntactic presence in the flattened node.
-	var base *cond.Formula
-	for _, g := range all {
-		if base == nil || g.NAtoms() > base.NAtoms() {
-			base = g
-		}
-	}
-	if base != nil && (base == condition || base.NAtoms() == 0) {
-		base = nil
-	}
 	values := make([]cond.Term, len(cr.head))
 	for i, o := range cr.head {
 		values[i] = o.value(slots)
@@ -832,7 +808,6 @@ func (e *engine) prepareEmit(p *rulePlan, slots []cond.Term, conds []*cond.Formu
 		pred:    cr.pred,
 		tp:      tp,
 		cond:    condition,
-		base:    base,
 		key:     ctable.TupleID{D1: d[0], D2: d[1], Cond: condition.ID()},
 		dataKey: d,
 		rule:    cr,
@@ -858,7 +833,7 @@ func (e *engine) commit(p prepared) error {
 	// The condition joins the group before the sat check, so a pruned
 	// or absorbed repeat is a duplicate too and costs no second check.
 	g.conds = append(g.conds, p.cond)
-	ok, err := e.admit(&g, p.base)
+	ok, err := e.admit(&g)
 	groups[p.dataKey] = g
 	if err != nil || !ok {
 		return err
@@ -877,13 +852,12 @@ func (e *engine) commit(p prepared) error {
 }
 
 // admit runs the eager prune and absorption for a new condition, the
-// last entry of its group g, with base its solver hint. It reports
-// whether the tuple is to be committed and, if so, moves the condition
-// into g's committed prefix.
-func (e *engine) admit(g *condGroup, base *cond.Formula) (bool, error) {
+// last entry of its group g. It reports whether the tuple is to be
+// committed and, if so, moves the condition into g's committed prefix.
+func (e *engine) admit(g *condGroup) (bool, error) {
 	c := g.conds[len(g.conds)-1]
 	if !e.opts.NoEagerPrune {
-		sat, err := e.timedSatFrom(c, base)
+		sat, err := e.timedSat(c)
 		if err != nil {
 			return false, err
 		}
@@ -1034,10 +1008,7 @@ func (e *engine) absorbed(condition *cond.Formula, g *condGroup) (bool, error) {
 		e.stats.AbsorbSetHits++
 		return covered, nil
 	}
-	// condition itself is the base: condition ∧ ¬(existing…) entails it,
-	// so its certificate (an unsat verdict in particular) short-circuits
-	// the entailment probe.
-	return e.timedImpliesFrom(condition, cond.Or(existing...), condition)
+	return e.timedImplies(condition, cond.Or(existing...))
 }
 
 // finalPrune removes contradictory tuples from the derived relations

@@ -350,7 +350,7 @@ func TestIncrementCommitFaultDegrades(t *testing.T) {
 }
 
 // TestIncrementalSolverStats: every satisfiability decision is answered
-// by exactly one of the exact-key cache, a related certificate, the
+// by exactly one of the exact-key cache, a cached validity, the
 // finite-domain fast path or search, so the four decision counters sum
 // to SatCalls — for EvalIncrement as for Eval.
 func TestIncrementalSolverStats(t *testing.T) {

@@ -30,11 +30,11 @@ type Stats struct {
 	// summed over the strata, for Eval and EvalIncrement alike.
 	Iterations int64
 	SatCalls   int64 // solver satisfiability decisions
-	// Incremental-solver counters (see internal/solver): decisions
-	// answered by an exact-key cached certificate, by a related
-	// certificate (base replay / DAG propagation), by the compiled
-	// finite-domain fast path, how many reached actual search, and how
-	// many certificate-store entries were clock-evicted.
+	// Solver counters (see internal/solver): decisions answered by an
+	// exact-key cached certificate, Valid calls answered by a cached
+	// validity, decisions by the compiled finite-domain fast path, how
+	// many reached actual search, and how many certificate-store
+	// entries were clock-evicted.
 	SolverCacheHits    int64
 	SolverCertHits     int64
 	SolverFastPathHits int64
@@ -188,9 +188,9 @@ func (s Stats) ProbeHitRatio() float64 {
 }
 
 // SatCallsPerDerived is the run's search-reaching solver decisions per
-// derived tuple — the headline metric for the incremental solver: a
-// value well below 1 means most conditions were decided by certificate
-// reuse or the compiled finite-domain fast path rather than search.
+// derived tuple — the headline metric for the cached solver: a value
+// well below 1 means most conditions were decided by the cache or the
+// compiled finite-domain fast path rather than search.
 func (s Stats) SatCallsPerDerived() float64 {
 	if s.Derived == 0 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"faure/internal/budget"
@@ -60,8 +61,12 @@ type Stats struct {
 	Truncated *budget.Exceeded
 }
 
-// Run executes the script against a copy of the database and returns
-// the resulting database (inputs plus created tables).
+// Run executes the script over the database and returns the resulting
+// database (inputs plus created tables). The input is never written:
+// the store loads each input table by sharing its tuples, and the
+// result's tables share their arrays with the store, each clipped to
+// its length, so appending to a result table copies instead of writing
+// into the input. The result's domain map is a copy of the input's.
 func Run(script *Script, db *ctable.Database, opts Options) (*ctable.Database, *Stats, error) {
 	ex := &executor{
 		store: relstore.FromDatabase(db),
@@ -69,7 +74,6 @@ func Run(script *Script, db *ctable.Database, opts Options) (*ctable.Database, *
 		opts:  opts,
 		bud:   opts.tracker(),
 		attrs: map[string][]string{},
-		db:    db,
 	}
 	ex.sol.SetBudget(ex.bud)
 	for name, t := range db.Tables {
@@ -104,7 +108,8 @@ func Run(script *Script, db *ctable.Database, opts Options) (*ctable.Database, *
 		}
 	}
 	ex.stats.SQLTime = time.Since(start) - ex.stats.SolverTime
-	out := db.Clone()
+	out := ctable.NewDatabase()
+	maps.Copy(out.Doms, db.Doms)
 	for _, name := range ex.store.Names() {
 		rel := ex.store.Rel(name)
 		out.AddTable(rel.Table(ex.attrs[name]))
@@ -118,7 +123,6 @@ type executor struct {
 	opts  Options
 	bud   *budget.B
 	attrs map[string][]string
-	db    *ctable.Database
 	stats Stats
 }
 

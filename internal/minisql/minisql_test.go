@@ -448,3 +448,87 @@ func TestNonRecursiveConsumerOutsideLoop(t *testing.T) {
 		t.Errorf("cut insert should be outside the loop:\n%s", text)
 	}
 }
+
+// spareTable returns a two-column table named name whose Tuples slice
+// holds one row per pair and, beyond its length, spare capacity filled
+// with marker rows — the shape that makes a shared array dangerous.
+func spareTable(name string, pairs ...[2]int64) *ctable.Table {
+	row := func(a, b cond.Term) ctable.Tuple { return ctable.NewTuple([]cond.Term{a, b}, nil) }
+	backing := make([]ctable.Tuple, len(pairs)+4)
+	for i := range backing {
+		backing[i] = row(cond.Str("Spare"), cond.Str("Spare"))
+	}
+	for i, p := range pairs {
+		backing[i] = row(cond.Int(p[0]), cond.Int(p[1]))
+	}
+	return &ctable.Table{Schema: ctable.Schema{Name: name, Attrs: []string{"a0", "a1"}}, Tuples: backing[:len(pairs)]}
+}
+
+// snapshot renders every element of s[:cap(s)], so a write past the
+// slice's length shows up too.
+func snapshot(s []ctable.Tuple) []string {
+	full := s[:cap(s)]
+	out := make([]string, len(full))
+	for i, tp := range full {
+		out[i] = tp.Key()
+	}
+	return out
+}
+
+// TestRunSharesInputWithoutWritingIt sends input tables with spare
+// capacity through EvalSQL, then inserts a row into every table of the
+// result and declares a variable in its domain map. Run shares the
+// input's tuple arrays with its store and its result, so neither the
+// run nor the later writes may reach the input: every input element,
+// spare capacity included, must read as before.
+func TestRunSharesInputWithoutWritingIt(t *testing.T) {
+	prog := faurelog.MustParse(`
+		reach(x, y) :- edge(x, y).
+		reach(x, z) :- reach(x, y), edge(y, z).
+	`)
+	db := ctable.NewDatabase()
+	db.AddTable(spareTable("edge", [2]int64{1, 2}, [2]int64{2, 3}, [2]int64{3, 4}))
+	db.AddTable(spareTable("other", [2]int64{7, 8}))
+	db.DeclareVar("x", solver.BoolDomain())
+	before := map[string][]string{}
+	lens := map[string]int{}
+	for name, tbl := range db.Tables {
+		before[name], lens[name] = snapshot(tbl.Tuples), tbl.Len()
+	}
+	out, _, err := EvalSQL(prog, db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Table("reach").Len(); got != 6 {
+		t.Fatalf("closure holds %d pairs, want 6", got)
+	}
+	for _, name := range []string{"edge", "other", "reach"} {
+		tbl := out.Table(name)
+		if tbl == nil {
+			t.Fatalf("result has no %s table", name)
+		}
+		if err := tbl.Insert(ctable.NewTuple([]cond.Term{cond.Int(90), cond.Int(91)}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.DeclareVar("y", solver.BoolDomain())
+	if _, ok := db.Doms["y"]; ok {
+		t.Error("declaring a variable in the result reached the input's domain map")
+	}
+	for name, tbl := range db.Tables {
+		if tbl.Len() != lens[name] {
+			t.Errorf("input %s grew from %d to %d rows", name, lens[name], tbl.Len())
+			continue
+		}
+		after := snapshot(tbl.Tuples)
+		if len(after) != len(before[name]) {
+			t.Errorf("input %s capacity changed: %d -> %d", name, len(before[name]), len(after))
+			continue
+		}
+		for i := range after {
+			if after[i] != before[name][i] {
+				t.Errorf("input %s element %d changed: %q -> %q", name, i, before[name][i], after[i])
+			}
+		}
+	}
+}

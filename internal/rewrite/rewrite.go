@@ -213,19 +213,14 @@ func ApplyBudgeted(db *ctable.Database, u Update, bud *budget.B) (*ctable.Databa
 // constraint's rules (q24). Evaluating C' on the pre-update state is
 // equivalent to evaluating C on the post-update state.
 func RewriteConstraint(c *faurelog.Program, u Update) (*faurelog.Program, error) {
-	return RewriteConstraintObserved(c, u, nil)
+	return RewriteConstraintWith(c, u, nil, nil)
 }
 
-// RewriteConstraintObserved is RewriteConstraint with observability: o
-// (nil disables) receives a "rewrite.constraint" span plus the
-// insert/delete counts and the per-relation chain-length distribution
-// (1 copy stage + one filter stage per deleted tuple).
-func RewriteConstraintObserved(c *faurelog.Program, u Update, o obs.Observer) (*faurelog.Program, error) {
-	return RewriteConstraintWith(c, u, o, nil)
-}
-
-// RewriteConstraintWith is RewriteConstraintObserved under a resource
-// budget: cancellation and the wall clock are polled once per rewritten
+// RewriteConstraintWith is RewriteConstraint with observability and a
+// resource budget. o (nil disables) receives a "rewrite.constraint"
+// span plus the insert/delete counts and the per-relation chain-length
+// distribution (1 copy stage + one filter stage per deleted tuple).
+// Cancellation and the wall clock are polled once per rewritten
 // relation chain (the construction itself is linear in the update and
 // program sizes). A nil budget disables the checks.
 func RewriteConstraintWith(c *faurelog.Program, u Update, o obs.Observer, bud *budget.B) (*faurelog.Program, error) {

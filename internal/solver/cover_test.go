@@ -18,7 +18,6 @@ const (
 	coverPastSpace // twelve more boolean variables push the world past fdMaxSpace
 	coverLate      // formulas may use $late, registered after the world was fixed
 	coverNoCache   // SetCacheLimit(0)
-	coverNoFast    // SetFastPath(false)
 	coverModes
 )
 
@@ -122,11 +121,8 @@ func FuzzCoverMatchesImplies(f *testing.F) {
 		in, fs := decodeCover(data)
 		rest, last := fs[:len(fs)-1], fs[len(fs)-1]
 		s := New(in.doms)
-		switch in.mode {
-		case coverNoCache:
+		if in.mode == coverNoCache {
 			s.SetCacheLimit(0)
-		case coverNoFast:
-			s.SetFastPath(false)
 		}
 		c := s.NewCover()
 		if in.mode == coverLate {
@@ -141,7 +137,7 @@ func FuzzCoverMatchesImplies(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Covers(%v): %v", last, err)
 		}
-		fallback := in.mode == coverPastSpace || in.mode == coverNoCache || in.mode == coverNoFast
+		fallback := in.mode == coverPastSpace || in.mode == coverNoCache
 		for _, g := range fs {
 			if (in.mode == coverUnbounded && slices.Contains(g.CVars(), "u")) ||
 				(in.mode == coverLate && slices.Contains(g.CVars(), "late")) {
@@ -223,18 +219,15 @@ func TestCoverBudget(t *testing.T) {
 		t.Fatalf("Covers under a 2-step budget: err = %v, want a budget trip", err)
 	}
 	for _, g := range []*cond.Formula{fresh, atomEq("b", 0), atomEq("c", 0)} {
-		if e, ok := s.cache.get(g.ID()); ok && e.c.wide != nil {
+		if e, ok := s.cache.get(g.ID()); ok && e.wide != nil {
 			t.Errorf("%v: world table memoised by a tripped set test", g)
-		}
-		if e, ok := s.cache.get(g.ID()); ok && e.pinned {
-			t.Errorf("%v: entry left pinned by a tripped set test", g)
 		}
 	}
 	s.SetBudget(nil)
 	if covered, decided, err := c.Covers(fresh); err != nil || !decided || covered {
 		t.Fatalf("retry: covered %v decided %v err %v, want decided and not covered", covered, decided, err)
 	}
-	if e, ok := s.cache.get(fresh.ID()); !ok || e.c.wide == nil {
+	if e, ok := s.cache.get(fresh.ID()); !ok || e.wide == nil {
 		t.Fatal("world table not memoised by a completed set test")
 	}
 }
@@ -264,7 +257,7 @@ func TestWorldTableEvicted(t *testing.T) {
 	if s.cache.len() > 4 {
 		t.Fatalf("cache holds %d entries past its limit of 4", s.cache.len())
 	}
-	if e, ok := s.cache.get(probe.ID()); ok && e.c.wide != nil {
+	if e, ok := s.cache.get(probe.ID()); ok && e.wide != nil {
 		t.Fatal("world table survived the eviction of its entry")
 	}
 	if covered, decided, err := c.Covers(probe); err != nil || !decided || !covered {

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"errors"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -89,38 +88,15 @@ func (t *fdTable) allSet() bool {
 	return true
 }
 
-// witnessAssignment decodes the first satisfying assignment, or nil
-// when the table is empty.
-func (t *fdTable) witnessAssignment() map[string]cond.Term {
-	for wi, w := range t.bits {
-		if w == 0 {
-			continue
-		}
-		idx := wi*64 + bits.TrailingZeros64(w)
-		m := make(map[string]cond.Term, len(t.vars))
-		for k, name := range t.vars {
-			m[name] = t.vals[k][idx%t.sizes[k]]
-			idx /= t.sizes[k]
-		}
-		return m
-	}
-	return nil
-}
-
 // certFromFD derives the full certificate a compiled table decides:
-// satisfiability with a witness, and validity, all with zero search.
+// satisfiability and validity, with zero search.
 func certFromFD(t *fdTable) cert {
-	c := cert{fd: t}
+	c := cert{fd: t, sat: -1, valid: -1}
 	if t.any() {
 		c.sat = 1
-		c.witness = t.witnessAssignment()
-	} else {
-		c.sat = -1
 	}
 	if t.allSet() {
 		c.valid = 1
-	} else {
-		c.valid = -1
 	}
 	return c
 }
@@ -155,14 +131,13 @@ func (s *Solver) fdApplicable(f *cond.Formula) bool {
 
 // compileNode compiles one interned DAG node, memoising the table on
 // the node's certificate. Each freshly compiled node charges one
-// solver step; completed nodes are cached (and pinned against eviction
-// for the duration of the decision) even if a later sibling trips the
-// budget, so a retry under a fresh budget resumes where it left off.
+// solver step; completed nodes are cached even if a later sibling trips
+// the budget, so a retry under a fresh budget resumes where it left
+// off.
 func (s *Solver) compileNode(f *cond.Formula) (*fdTable, error) {
 	key := f.ID()
-	if e, ok := s.cache.get(key); ok && e.c.fd != nil {
-		s.pin(e)
-		return e.c.fd, nil
+	if e, ok := s.cache.get(key); ok && e.fd != nil {
+		return e.fd, nil
 	}
 	if err := s.bud.SolverStep(); err != nil {
 		return nil, err
@@ -186,9 +161,6 @@ func (s *Solver) compileNode(f *cond.Formula) (*fdTable, error) {
 		return nil, err
 	}
 	s.store(key, certFromFD(t))
-	if e, ok := s.cache.get(key); ok {
-		s.pin(e)
-	}
 	return t, nil
 }
 
@@ -365,8 +337,8 @@ type widenedNode struct {
 // none. errFDUnsupported marks f outside the set tests' fragment: a
 // variable outside the world, or an atom the fd compiler refuses.
 func (s *Solver) wideTable(f *cond.Formula) ([]uint64, error) {
-	if e, ok := s.cache.get(f.ID()); ok && e.c.wide != nil {
-		return e.c.wide, nil
+	if e, ok := s.cache.get(f.ID()); ok && e.wide != nil {
+		return e.wide, nil
 	}
 	if !s.inWorld(f.CVars()) {
 		return nil, errFDUnsupported
@@ -379,7 +351,6 @@ func (s *Solver) wideTable(f *cond.Formula) ([]uint64, error) {
 	}
 	clear(s.widened)
 	s.widened = s.widened[:0]
-	s.unpinAll()
 	return t, err
 }
 
@@ -391,8 +362,8 @@ func (s *Solver) widenNode(f *cond.Formula) ([]uint64, error) {
 		return make([]uint64, len(s.world.bits)), nil
 	}
 	id := f.ID()
-	if e, ok := s.cache.get(id); ok && e.c.wide != nil {
-		return e.c.wide, nil
+	if e, ok := s.cache.get(id); ok && e.wide != nil {
+		return e.wide, nil
 	}
 	for _, n := range s.widened {
 		if n.id == id {
@@ -461,7 +432,7 @@ type Cover struct {
 
 // NewCover returns an empty cover. It is born dead, and leaves every
 // decision to the solver, when the finite-domain variables span more
-// than fdMaxSpace assignments or the cache or fast path is off.
+// than fdMaxSpace assignments or the cache is off.
 func (s *Solver) NewCover() *Cover {
 	if !s.worldSet {
 		s.world, s.worldSet = s.newWorld(), true
@@ -497,8 +468,8 @@ func (c *Cover) Add(f *cond.Formula) error {
 // Covers reports whether f implies the disjunction of the formulas
 // added so far, decided as a subset test of world tables; decided is
 // false, and the question left to the solver, when the cover is dead,
-// the fast path is off or f lies outside the fragment. A decision
-// costs one solver step.
+// the cache is off or f lies outside the fragment. A decision costs
+// one solver step.
 func (c *Cover) Covers(f *cond.Formula) (covered, decided bool, err error) {
 	if c.bits == nil || !c.s.fastOn() {
 		return false, false, nil

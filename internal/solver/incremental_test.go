@@ -63,54 +63,6 @@ func TestFDFastPathAgrees(t *testing.T) {
 	}
 }
 
-// TestSatisfiableFromUnsatBase: once the base condition is known
-// unsatisfiable, any extension of it is decided by certificate alone.
-func TestSatisfiableFromUnsatBase(t *testing.T) {
-	s := New(boolDoms("x", "y"))
-	s.SetFastPath(false)
-	base := cond.And(atomEq("x", 1), atomEq("x", 0))
-	if mustSat(t, s, base) {
-		t.Fatal("contradictory base should be unsat")
-	}
-	ext := cond.And(base, atomEq("y", 1))
-	if ext == base {
-		t.Fatal("extension collapsed into the base; test is vacuous")
-	}
-	resetStats(s)
-	sat, err := s.SatisfiableFrom(ext, base)
-	if err != nil || sat {
-		t.Fatalf("SatisfiableFrom = %v, %v; want unsat", sat, err)
-	}
-	st := s.Stats()
-	if st.CertHits != 1 || st.EnumNodes != 0 || st.DPLLNodes != 0 {
-		t.Fatalf("extension was not decided from the base certificate: %+v", st)
-	}
-}
-
-// TestSatisfiableFromWitnessReplay: a satisfying witness for the base
-// replays over an extension whose new atoms it already forces — the
-// watched-atom pattern of semi-naive join rounds.
-func TestSatisfiableFromWitnessReplay(t *testing.T) {
-	s := New(boolDoms("x", "y"))
-	s.SetFastPath(false) // the witness must come from search, not fd
-	base := cond.And(atomEq("x", 1), atomEq("y", 0))
-	if !mustSat(t, s, base) {
-		t.Fatal("base should be sat")
-	}
-	// The new conjunct is over the same variables, so the witness
-	// x=1,y=0 forces it: ¬(x=1 ∧ y=1) is true under the witness.
-	ext := cond.And(base, cond.Not(cond.And(atomEq("x", 1), atomEq("y", 1))))
-	resetStats(s)
-	sat, err := s.SatisfiableFrom(ext, base)
-	if err != nil || !sat {
-		t.Fatalf("SatisfiableFrom = %v, %v; want sat", sat, err)
-	}
-	st := s.Stats()
-	if st.CertHits != 1 || st.EnumNodes != 0 || st.DPLLNodes != 0 {
-		t.Fatalf("witness was not replayed: %+v", st)
-	}
-}
-
 // TestValidFromCertificate: deciding satisfiability through the fd
 // fast path records validity too, so a later Valid call is free.
 func TestValidFromCertificate(t *testing.T) {
@@ -137,36 +89,9 @@ func TestValidFromCertificate(t *testing.T) {
 	}
 }
 
-// TestPinnedEvictionSkip: clock eviction passes over pinned in-flight
-// entries, and grows past the limit when every entry is pinned.
-func TestPinnedEvictionSkip(t *testing.T) {
-	cs := newCertStore(2)
-	cs.put(1, &certEntry{c: cert{sat: 1}, pinned: true})
-	cs.put(2, &certEntry{c: cert{sat: 1}})
-	if evicted := cs.put(3, &certEntry{c: cert{sat: -1}}); !evicted {
-		t.Fatal("full store should have evicted")
-	}
-	if _, ok := cs.get(1); !ok {
-		t.Fatal("pinned entry was evicted")
-	}
-	if _, ok := cs.get(2); ok {
-		t.Fatal("unpinned entry should have been the victim")
-	}
-	e3, _ := cs.get(3)
-	e3.pinned = true
-	if evicted := cs.put(4, &certEntry{}); evicted {
-		t.Fatal("all-pinned store must grow, not evict")
-	}
-	for _, k := range []uint64{1, 3, 4} {
-		if _, ok := cs.get(k); !ok {
-			t.Fatalf("key %d missing after all-pinned insert", k)
-		}
-	}
-}
-
 // TestTinyCacheFDStaysCorrect runs the fd fast path with a cache far
-// smaller than the formula's node count: pinning must keep the
-// in-flight tables alive and the answers exact.
+// smaller than the formula's node count: eviction must not change the
+// answer, because a compilation holds the child tables it was handed.
 func TestTinyCacheFDStaysCorrect(t *testing.T) {
 	doms := boolDoms("a", "b", "c", "d")
 	f := cond.Or(
@@ -183,12 +108,6 @@ func TestTinyCacheFDStaysCorrect(t *testing.T) {
 	if err1 != nil || err2 != nil || gotSat != wantSat {
 		t.Fatalf("tiny-cache fd diverged: got %v/%v want %v/%v", gotSat, err1, wantSat, err2)
 	}
-	// The decision completed: every pin must be released again.
-	for _, e := range small.cache.m {
-		if e.pinned {
-			t.Fatal("entry left pinned after the top-level decision")
-		}
-	}
 }
 
 // TestBudgetTripMidCompile: a budget trip inside fd compilation
@@ -203,13 +122,11 @@ func TestBudgetTripMidCompile(t *testing.T) {
 	if _, ok := budget.As(err); !ok {
 		t.Fatalf("want a budget trip, got %v", err)
 	}
-	if e, ok := s.cache.get(f.ID()); ok && e.c.decidedSat() {
+	if e, ok := s.cache.get(f.ID()); ok && e.decidedSat() {
 		t.Fatal("budget-tripped decision was cached")
 	}
-	if e, ok := s.cache.get(childA.ID()); !ok || e.c.fd == nil {
+	if e, ok := s.cache.get(childA.ID()); !ok || e.fd == nil {
 		t.Fatal("completed child table was not kept for retry")
-	} else if e.pinned {
-		t.Fatal("child entry left pinned after the aborted decision")
 	}
 	// A fresh budget resumes from the kept children and decides.
 	s.SetBudget(nil)
@@ -235,18 +152,20 @@ func TestMemoEvictionsCounter(t *testing.T) {
 	}
 }
 
-// TestDifferentialFuzz is the incremental solver's agreement contract:
-// on random formulas over mixed bool/enum domains, the certificate +
-// fast-path solver and the memo-disabled pure-search baseline must
-// agree on Satisfiable and Valid — including whether they error —
-// with SatisfiableFrom checked against a plain baseline decision.
-// Seeds are fixed, so a failure names a reproducible formula.
+// TestDifferentialFuzz is the cached solver's agreement contract: on
+// random formulas over mixed bool/enum domains and an unbounded
+// variable, the solver with its cache and compiled tables and the
+// cache-disabled pure-search baseline must agree on Satisfiable, Valid
+// and Implies — including whether they error. Formulas over the
+// unbounded variable reach search on both sides. Seeds are fixed, so a
+// failure names a reproducible formula.
 func TestDifferentialFuzz(t *testing.T) {
 	doms := Domains{
 		"a": BoolDomain(), "b": BoolDomain(), "c": BoolDomain(),
 		"p": EnumDomain(cond.Str("r1"), cond.Str("r2"), cond.Str("r3")),
 		"q": EnumDomain(cond.Int(1), cond.Int(2), cond.Int(3), cond.Int(4)),
 	}
+	var fastHits, searches int
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fast := New(doms)
@@ -264,21 +183,30 @@ func TestDifferentialFuzz(t *testing.T) {
 			if (errF != nil) != (errS != nil) || gotV != wantV {
 				t.Fatalf("seed %d #%d Valid %v: fast %v/%v, search %v/%v", seed, i, f, gotV, errF, wantV, errS)
 			}
-			// The watched-atom pattern: conjoin one fresh atom onto the
-			// just-decided condition and re-solve from its certificate.
-			// And flattens, so ext entails f as SatisfiableFrom requires.
+			// Conjoin one fresh atom onto the just-decided condition, the
+			// shape of a semi-naive join round.
 			ext := cond.And(f, randFDFormula(rng, 0))
-			gotSat, errF = fast.SatisfiableFrom(ext, f)
+			gotSat, errF = fast.Satisfiable(ext)
 			wantSat, errS = slow.Satisfiable(ext)
 			if (errF != nil) != (errS != nil) || gotSat != wantSat {
-				t.Fatalf("seed %d #%d ext %v from %v: fast %v/%v, search %v/%v", seed, i, ext, f, gotSat, errF, wantSat, errS)
+				t.Fatalf("seed %d #%d ext %v: fast %v/%v, search %v/%v", seed, i, ext, gotSat, errF, wantSat, errS)
+			}
+			gotI, errF := fast.Implies(f, ext)
+			wantI, errS := slow.Implies(f, ext)
+			if (errF != nil) != (errS != nil) || gotI != wantI {
+				t.Fatalf("seed %d #%d %v ⇒ %v: fast %v/%v, search %v/%v", seed, i, f, ext, gotI, errF, wantI, errS)
 			}
 		}
+		fastHits += fast.Stats().FastPathHits
+		searches += fast.Stats().Searches()
+	}
+	if fastHits == 0 || searches == 0 {
+		t.Fatalf("the cached solver decided %d formulas by table and %d by search; the inputs must reach both", fastHits, searches)
 	}
 }
 
 func randFDTerm(rng *rand.Rand) cond.Term {
-	switch rng.Intn(7) {
+	switch rng.Intn(8) {
 	case 0:
 		return cond.CVar("a")
 	case 1:
@@ -290,6 +218,8 @@ func randFDTerm(rng *rand.Rand) cond.Term {
 	case 4:
 		return cond.CVar("p")
 	case 5:
+		return cond.CVar("u") // unbounded: no domain
+	case 6:
 		return cond.Int(int64(rng.Intn(4)))
 	default:
 		return cond.Str([]string{"r1", "r2", "r3"}[rng.Intn(3)])

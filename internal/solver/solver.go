@@ -20,15 +20,27 @@
 // variables with finite domains — as every fauré workload does —
 // sidesteps the cap entirely via domain enumeration.
 //
-// The procedure is two-layered:
+// A satisfiability decision takes the first rung of one ladder that
+// applies:
 //
-//  1. c-variables with declared finite domains are eliminated by
-//     backtracking enumeration with eager formula simplification;
-//  2. the residual formula, over unbounded c-variables only, is decided
+//  1. the cache: a verdict recorded for the same interned formula;
+//  2. the compiled table, when every c-variable of the formula has a
+//     finite domain and their assignments number at most fdMaxSpace:
+//     one bit per assignment, built node by node over the interned DAG
+//     and memoised per node, decided with no search;
+//  3. search: c-variables with finite domains are eliminated by
+//     backtracking enumeration with eager formula simplification, and
+//     the residual formula, over unbounded c-variables only, is decided
 //     by DPLL-style case splitting on atoms, with each branch checked
 //     against an equality/order theory (union-find over terms, integer
 //     bound propagation over the order graph, exclusion sets from
 //     disequalities).
+//
+// Valid and Implies reduce to satisfiability; Valid first reads a
+// validity the cache holds. Cover decides an implication whose
+// right-hand side is a disjunction as a subset test of compiled tables
+// widened to every finite-domain c-variable, and leaves what it cannot
+// represent to Implies.
 package solver
 
 import (
@@ -73,11 +85,8 @@ type Domains map[string]Domain
 type Stats struct {
 	SatCalls  int // top-level satisfiability decisions
 	CacheHits int // decisions answered from a cached certificate
-	// CertHits counts decisions concluded from a *related* certificate
-	// without search: a base condition's witness replayed over the
-	// extended formula (SatisfiableFrom), a child verdict propagated
-	// bottom-up through And/Or/Not, or a cached validity answering
-	// Valid directly.
+	// CertHits counts Valid calls answered by a validity the cache
+	// holds for the formula itself, without deciding its negation.
 	CertHits int
 	// FastPathHits counts decisions by the compiled finite-domain
 	// bitset fast path; FDNodes is how many DAG nodes it compiled.
@@ -91,9 +100,9 @@ type Stats struct {
 }
 
 // Searches is the number of top-level decisions that reached actual
-// search (enumeration or DPLL): SatCalls minus every flavour of
-// certificate reuse. This is the denominatorless form of the
-// "sat calls per derived tuple" metric the benchmarks track.
+// search (enumeration or DPLL): SatCalls minus the decisions the cache
+// and the compiled table answered. This is the denominatorless form of
+// the "sat calls per derived tuple" metric the benchmarks track.
 func (s Stats) Searches() int {
 	return s.SatCalls - s.CacheHits - s.CertHits - s.FastPathHits
 }
@@ -114,12 +123,6 @@ type Solver struct {
 	// bud charges every search node (enumeration, DPLL, and fd
 	// compilation) to a shared step budget; nil disables accounting.
 	bud *budget.B
-	// noFast disables the compiled finite-domain fast path (ablation).
-	noFast bool
-	// pinned tracks cache entries the in-flight decision depends on
-	// (fd tables referenced by a compilation in progress); eviction
-	// skips them until the top-level call completes.
-	pinned []*certEntry
 	// world is the set tests' assignment space, fixed at the first
 	// NewCover (worldSet); nil when there is none. widened buffers the
 	// world tables one set-test call computes until it completes.
@@ -129,18 +132,16 @@ type Solver struct {
 }
 
 // cert is the certificate attached to an interned formula id: cached
-// three-valued satisfiability and validity verdicts plus the evidence
-// that lets *related* decisions reuse it without search — a satisfying
-// finite-domain assignment (witness) and/or the compiled finite-domain
-// table. sat and valid are three-valued (+1 yes, -1 no, 0 undecided)
-// so a validity-only certificate never reads as "unsatisfiable".
+// three-valued satisfiability and validity verdicts plus the formula's
+// compiled finite-domain tables, which parent formulas compile from.
+// sat and valid are three-valued (+1 yes, -1 no, 0 undecided) so a
+// validity-only certificate never reads as "unsatisfiable".
 type cert struct {
-	sat     int8
-	valid   int8
-	err     error
-	witness map[string]cond.Term // satisfying finite-domain assignment; may be nil
-	fd      *fdTable             // compiled finite-domain lattice element; may be nil
-	wide    []uint64             // the formula's table widened into the world; may be nil
+	sat   int8
+	valid int8
+	err   error
+	fd    *fdTable // compiled finite-domain lattice element; may be nil
+	wide  []uint64 // the formula's table widened into the world; may be nil
 }
 
 // decidedSat reports whether the certificate answers a satisfiability
@@ -148,75 +149,50 @@ type cert struct {
 // search would reproduce it).
 func (c cert) decidedSat() bool { return c.sat != 0 || c.err != nil }
 
-type certEntry struct {
-	c      cert
-	pinned bool
-}
-
 // certStore is a bounded certificate map with clock (FIFO) eviction:
 // once the map reaches its limit, each new entry overwrites the oldest
-// unpinned one instead of being dropped, so long runs past the cap keep
-// benefiting from recent formulas. Keys are interned formula ids
-// (cond.Formula.ID) — process-local, so the store must never be
-// serialised; as a pure cache that is fine.
+// one instead of being dropped, so long runs past the cap keep
+// benefiting from recent formulas. Eviction never changes an answer: a
+// compilation in flight holds the child tables it was handed. Keys are
+// interned formula ids (cond.Formula.ID) — process-local, so the store
+// must never be serialised; as a pure cache that is fine.
 type certStore struct {
 	limit int
-	m     map[uint64]*certEntry
+	m     map[uint64]*cert
 	ring  []uint64 // insertion ring; ring[pos] is the next eviction candidate
 	pos   int
 }
 
 func newCertStore(limit int) certStore {
-	return certStore{limit: limit, m: make(map[uint64]*certEntry)}
+	return certStore{limit: limit, m: make(map[uint64]*cert)}
 }
 
-func (c *certStore) get(k uint64) (*certEntry, bool) {
+func (c *certStore) get(k uint64) (*cert, bool) {
 	e, ok := c.m[k]
 	return e, ok
 }
 
-// put inserts a new entry, clock-evicting the oldest unpinned entry
-// when full; pinned entries (in-flight fd compilations the current
-// decision still references) are skipped. Returns whether an existing
-// entry was evicted.
-func (c *certStore) put(k uint64, e *certEntry) bool {
-	if c.limit <= 0 {
-		return false
-	}
-	if old, exists := c.m[k]; exists {
-		old.c = e.c
-		return false
-	}
+// put inserts an entry under a key the store does not hold, evicting
+// the oldest entry when the store is full. It reports whether an entry
+// was evicted.
+func (c *certStore) put(k uint64, e *cert) bool {
 	if len(c.m) < c.limit {
 		c.ring = append(c.ring, k)
 		c.m[k] = e
 		return false
 	}
-	for scanned := 0; scanned < len(c.ring); scanned++ {
-		victim := c.ring[c.pos]
-		if ve := c.m[victim]; ve != nil && ve.pinned {
-			c.pos = (c.pos + 1) % len(c.ring)
-			continue
-		}
-		delete(c.m, victim)
-		c.ring[c.pos] = k
-		c.pos = (c.pos + 1) % len(c.ring)
-		c.m[k] = e
-		return true
-	}
-	// Every resident entry is pinned by the decision in flight: grow
-	// past the limit rather than drop state it depends on; the overflow
-	// is reclaimed by normal eviction once the pins clear.
-	c.ring = append(c.ring, k)
+	delete(c.m, c.ring[c.pos])
+	c.ring[c.pos] = k
+	c.pos = (c.pos + 1) % len(c.ring)
 	c.m[k] = e
-	return false
+	return true
 }
 
 func (c *certStore) len() int { return len(c.m) }
 
 func (c *certStore) reset(limit int) {
 	c.limit = limit
-	c.m = make(map[uint64]*certEntry)
+	c.m = make(map[uint64]*cert)
 	c.ring = nil
 	c.pos = 0
 }
@@ -249,77 +225,49 @@ func (s *Solver) SetObserver(o obs.Observer) {
 func (s *Solver) SetBudget(b *budget.B) { s.bud = b }
 
 // SetCacheLimit bounds the certificate cache, resetting its contents;
-// 0 disables memoisation AND the compiled finite-domain fast path,
-// with it the set tests of Cover —
-// the resulting pure-search solver is the baseline the ablation
-// benches and the differential fuzz tests compare against. Past the
-// limit the cache clock-evicts the oldest unpinned entry rather than
-// refusing new ones.
-func (s *Solver) SetCacheLimit(n int) {
-	s.cache.reset(n)
-	s.pinned = nil
-}
+// 0 disables memoisation AND the compiled finite-domain tables, with
+// them the set tests of Cover — the resulting pure-search solver is the
+// baseline the ablation benches and the differential fuzz tests
+// compare against. Past the limit the cache clock-evicts the oldest
+// entry rather than refusing new ones.
+func (s *Solver) SetCacheLimit(n int) { s.cache.reset(n) }
 
-// SetFastPath toggles the compiled finite-domain fast path and with it
-// the set tests of Cover (default on). Independent of SetCacheLimit so
-// the benches can isolate what each layer buys.
-func (s *Solver) SetFastPath(on bool) { s.noFast = !on }
-
-// fastOn reports whether the fd fast path may run: it stores compiled
-// tables in the certificate cache, so it is meaningless (and would
-// recompile per call) with caching disabled.
-func (s *Solver) fastOn() bool { return !s.noFast && s.cache.limit > 0 }
+// fastOn reports whether the compiled tables may be used: they live in
+// the certificate cache, so they are meaningless (and would recompile
+// per call) with caching disabled.
+func (s *Solver) fastOn() bool { return s.cache.limit > 0 }
 
 // Stats returns a copy of the solver's counters.
 func (s *Solver) Stats() Stats { return s.stats }
 
 // store records c under key in the solver's cache, merging with
 // any existing entry: only undecided fields are filled in, so a
-// validity upgrade never clobbers a witness or a compiled fd table.
+// validity upgrade never clobbers a compiled fd table.
 func (s *Solver) store(key uint64, c cert) {
 	if s.cache.limit <= 0 {
 		return
 	}
-	if e, ok := s.cache.m[key]; ok {
-		if e.c.sat == 0 {
-			e.c.sat = c.sat
+	if e, ok := s.cache.get(key); ok {
+		if e.sat == 0 {
+			e.sat = c.sat
 		}
-		if e.c.valid == 0 {
-			e.c.valid = c.valid
+		if e.valid == 0 {
+			e.valid = c.valid
 		}
-		if e.c.err == nil {
-			e.c.err = c.err
+		if e.err == nil {
+			e.err = c.err
 		}
-		if e.c.witness == nil {
-			e.c.witness = c.witness
+		if e.fd == nil {
+			e.fd = c.fd
 		}
-		if e.c.fd == nil {
-			e.c.fd = c.fd
-		}
-		if e.c.wide == nil {
-			e.c.wide = c.wide
+		if e.wide == nil {
+			e.wide = c.wide
 		}
 		return
 	}
-	if s.cache.put(key, &certEntry{c: c}) {
+	if s.cache.put(key, &c) {
 		s.stats.Evictions++
 	}
-}
-
-// pin marks a cache entry as in-flight so eviction skips it; pins
-// last until the enclosing top-level decision completes.
-func (s *Solver) pin(e *certEntry) {
-	if !e.pinned {
-		e.pinned = true
-		s.pinned = append(s.pinned, e)
-	}
-}
-
-func (s *Solver) unpinAll() {
-	for _, e := range s.pinned {
-		e.pinned = false
-	}
-	s.pinned = s.pinned[:0]
 }
 
 func (s *Solver) countObs(name string) {
@@ -331,23 +279,6 @@ func (s *Solver) countObs(name string) {
 // Satisfiable reports whether some assignment of the c-variables,
 // respecting their domains, makes f true.
 func (s *Solver) Satisfiable(f *cond.Formula) (bool, error) {
-	return s.satisfy(f, nil)
-}
-
-// SatisfiableFrom decides f incrementally from base's certificate.
-// Contract: f must entail base — typically f = base ∧ extra atoms, the
-// dominant shape in semi-naive join rounds, where eval conjoins new
-// atoms onto an already-decided condition. An unsatisfiable base then
-// decides f with no search at all, and a satisfying witness for base
-// is replayed over f watched-literal style: only the atoms the witness
-// reaches are re-evaluated, and the whole formula must come out true
-// under every extension of the witness for the replay to answer. A nil
-// base is a plain Satisfiable call.
-func (s *Solver) SatisfiableFrom(f, base *cond.Formula) (bool, error) {
-	return s.satisfy(f, base)
-}
-
-func (s *Solver) satisfy(f, base *cond.Formula) (bool, error) {
 	s.stats.SatCalls++
 	if faultinject.Armed() {
 		if err := faultinject.Fire(faultinject.SolverSat); err != nil {
@@ -367,22 +298,21 @@ func (s *Solver) satisfy(f, base *cond.Formula) (bool, error) {
 		s.o.Observe("solver.condition_atoms", float64(f.NAtoms()))
 	}
 	key := f.ID()
-	if e, ok := s.cache.get(key); ok && e.c.decidedSat() {
+	if e, ok := s.cache.get(key); ok && e.decidedSat() {
 		s.stats.CacheHits++
 		if s.obsOn {
 			s.o.Count("solver.cache_hits", 1)
 			s.o.ObserveDuration("solver.sat_latency", time.Since(start))
 		}
-		return e.c.sat > 0, e.c.err
+		return e.sat > 0, e.err
 	}
-	c := s.decide(f, base)
+	c := s.decide(f)
 	// A budget trip is a property of this run, not of the formula:
 	// caching it would poison the memo for a later run under a fresh
 	// budget.
 	if _, budgetErr := budget.As(c.err); !budgetErr {
 		s.store(key, c)
 	}
-	s.unpinAll()
 	if s.obsOn {
 		s.o.ObserveDuration("solver.sat_latency", time.Since(start))
 		s.o.SetGauge("solver.cache_size", float64(s.cache.len()))
@@ -390,38 +320,9 @@ func (s *Solver) satisfy(f, base *cond.Formula) (bool, error) {
 	return c.sat > 0, c.err
 }
 
-// decide computes a fresh certificate for f, trying the cheap layers
-// in order: replay of the base condition's certificate, bottom-up
-// propagation of child certificates through the interned DAG, the
-// compiled finite-domain fast path, and finally general search.
-func (s *Solver) decide(f, base *cond.Formula) cert {
-	// Layer 0: incremental re-solve from the base certificate. f
-	// entails base (SatisfiableFrom contract), so unsat base ⇒ unsat f;
-	// a sat witness for base decides f when f evaluates true under
-	// every extension of it. The witness replay is sound independent of
-	// the contract — EvalPartial checks f itself.
-	if base != nil && base != f {
-		if e, ok := s.cache.get(base.ID()); ok && e.c.err == nil {
-			if e.c.sat < 0 {
-				s.stats.CertHits++
-				s.countObs("solver.cert_hits")
-				return cert{sat: -1, valid: -1}
-			}
-			if e.c.sat > 0 && len(e.c.witness) > 0 && f.EvalPartial(witLookup(e.c.witness)) > 0 {
-				s.stats.CertHits++
-				s.countObs("solver.cert_hits")
-				return cert{sat: 1, witness: e.c.witness}
-			}
-		}
-	}
-	// Layer 1: child-certificate propagation.
-	if c, ok := s.propagate(f); ok {
-		s.stats.CertHits++
-		s.countObs("solver.cert_hits")
-		return c
-	}
-	// Layer 2: compiled finite-domain fast path — bitset lattice
-	// elements over enum-domain c-variables, decided with zero search.
+// decide computes a fresh certificate for f: the compiled finite-domain
+// table when f lies in its fragment, general search otherwise.
+func (s *Solver) decide(f *cond.Formula) cert {
 	if s.fastOn() {
 		t, err := s.compileFD(f)
 		if err == nil {
@@ -433,17 +334,11 @@ func (s *Solver) decide(f, base *cond.Formula) cert {
 			return cert{err: err} // budget trip mid-compilation
 		}
 	}
-	// Layer 3: general search, collecting a witness for future replay.
-	var wit map[string]cond.Term
-	if s.cache.limit > 0 {
-		wit = make(map[string]cond.Term)
-	}
-	sat, err := s.enumerate(f, wit)
+	sat, err := s.enumerate(f)
 	c := cert{err: err}
 	switch {
 	case sat:
 		c.sat = 1
-		c.witness = wit
 	case err == nil:
 		c.sat = -1
 		c.valid = -1 // unsat is false everywhere, hence falsifiable
@@ -451,49 +346,9 @@ func (s *Solver) decide(f, base *cond.Formula) cert {
 	return c
 }
 
-// propagate tries to decide f from its children's cached certificates
-// alone: an unsatisfiable conjunct kills an And, a satisfiable
-// disjunct satisfies an Or (adopting its witness), and a Not inverts
-// its child's validity/unsatisfiability.
-func (s *Solver) propagate(f *cond.Formula) (cert, bool) {
-	switch f.Kind {
-	case cond.FAnd:
-		for _, sub := range f.Sub {
-			if e, ok := s.cache.get(sub.ID()); ok && e.c.err == nil && e.c.sat < 0 {
-				return cert{sat: -1, valid: -1}, true
-			}
-		}
-	case cond.FOr:
-		for _, sub := range f.Sub {
-			if e, ok := s.cache.get(sub.ID()); ok && e.c.err == nil && e.c.sat > 0 {
-				return cert{sat: 1, witness: e.c.witness}, true
-			}
-		}
-	case cond.FNot:
-		if e, ok := s.cache.get(f.Sub[0].ID()); ok && e.c.err == nil {
-			switch {
-			case e.c.valid > 0: // ¬(valid) is unsat
-				return cert{sat: -1, valid: -1}, true
-			case e.c.sat < 0: // ¬(unsat) is valid
-				return cert{sat: 1, valid: 1}, true
-			case e.c.valid < 0: // ¬(falsifiable) is sat
-				return cert{sat: 1}, true
-			}
-		}
-	}
-	return cert{}, false
-}
-
-func witLookup(w map[string]cond.Term) func(string) (cond.Term, bool) {
-	return func(name string) (cond.Term, bool) {
-		v, ok := w[name]
-		return v, ok
-	}
-}
-
 // Valid reports whether f holds under every assignment. A cached
-// validity certificate (recorded by earlier Valid calls and by the fd
-// fast path) answers without touching ¬f.
+// validity certificate (recorded by earlier Valid calls and by the
+// compiled tables) answers without touching ¬f.
 func (s *Solver) Valid(f *cond.Formula) (bool, error) {
 	switch f.Kind {
 	case cond.FTrue:
@@ -501,11 +356,11 @@ func (s *Solver) Valid(f *cond.Formula) (bool, error) {
 	case cond.FFalse:
 		return false, nil
 	}
-	if e, ok := s.cache.get(f.ID()); ok && e.c.err == nil && e.c.valid != 0 {
+	if e, ok := s.cache.get(f.ID()); ok && e.err == nil && e.valid != 0 {
 		s.stats.SatCalls++
 		s.stats.CertHits++
 		s.countObs("solver.cert_hits")
-		return e.c.valid > 0, nil
+		return e.valid > 0, nil
 	}
 	sat, err := s.Satisfiable(cond.Not(f))
 	if err == nil {
@@ -530,22 +385,13 @@ func (s *Solver) noteValid(f *cond.Formula, valid bool) {
 // Implies reports whether every assignment satisfying f also satisfies
 // g (f ⇒ g), i.e. f ∧ ¬g is unsatisfiable.
 func (s *Solver) Implies(f, g *cond.Formula) (bool, error) {
-	return s.ImpliesFrom(f, g, nil)
-}
-
-// ImpliesFrom is Implies with an incremental hint: base must be
-// entailed by f ∧ ¬g (absorption passes the candidate condition
-// itself, containment its standing assumption), so base's cached
-// unsat certificate or replayed witness can short-circuit the
-// entailment check.
-func (s *Solver) ImpliesFrom(f, g, base *cond.Formula) (bool, error) {
 	if !s.obsOn {
-		sat, err := s.satisfy(cond.And(f, cond.Not(g)), base)
+		sat, err := s.Satisfiable(cond.And(f, cond.Not(g)))
 		return !sat, err
 	}
 	start := time.Now()
 	s.o.Count("solver.implies_calls", 1)
-	sat, err := s.satisfy(cond.And(f, cond.Not(g)), base)
+	sat, err := s.Satisfiable(cond.And(f, cond.Not(g)))
 	s.o.ObserveDuration("solver.implies_latency", time.Since(start))
 	return !sat, err
 }
@@ -563,13 +409,8 @@ func (s *Solver) Equivalent(f, g *cond.Formula) (bool, error) {
 // enumerate eliminates finite-domain c-variables one at a time,
 // substituting each candidate value and recursing on the simplified
 // formula; once only unbounded variables remain it falls through to
-// the residual DPLL procedure. A non-nil wit map accumulates the
-// finite-domain assignments along the satisfying path — the witness
-// the certificate layer replays over extended formulas. (When the
-// residual DPLL answers sat the witness is partial; replay via
-// EvalPartial only answers when the partial assignment already forces
-// the formula, so that is sound.)
-func (s *Solver) enumerate(f *cond.Formula, wit map[string]cond.Term) (bool, error) {
+// the residual DPLL procedure.
+func (s *Solver) enumerate(f *cond.Formula) (bool, error) {
 	s.stats.EnumNodes++
 	if err := s.bud.SolverStep(); err != nil {
 		return false, err
@@ -586,11 +427,7 @@ func (s *Solver) enumerate(f *cond.Formula, wit map[string]cond.Term) (bool, err
 	}
 	var firstErr error
 	for _, v := range dom.Values {
-		g := f.Subst(map[string]cond.Term{name: v})
-		if wit != nil {
-			wit[name] = v
-		}
-		sat, err := s.enumerate(g, wit)
+		sat, err := s.enumerate(f.Subst(map[string]cond.Term{name: v}))
 		if err != nil {
 			// Budget exhaustion aborts the whole search: with branches
 			// unexplored the answer would be unsound either way.
@@ -600,16 +437,10 @@ func (s *Solver) enumerate(f *cond.Formula, wit map[string]cond.Term) (bool, err
 			if firstErr == nil {
 				firstErr = err
 			}
-			if wit != nil {
-				delete(wit, name)
-			}
 			continue
 		}
 		if sat {
 			return true, nil
-		}
-		if wit != nil {
-			delete(wit, name)
 		}
 	}
 	return false, firstErr
