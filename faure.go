@@ -484,10 +484,6 @@ func MustConstraint(name, src string) Constraint { return containment.MustConstr
 // Subsumes runs the category (i) containment test directly. Targets
 // with intermediate predicates are flattened (inlined) first.
 func Subsumes(target Constraint, known []Constraint, doms Domains, schema *Schema) (bool, error) {
-	if len(target.Program.IDB()) > 1 {
-		res, err := containment.SubsumesFlattened(target, known, doms, schema)
-		return res.Contained, err
-	}
 	res, err := containment.Subsumes(target, known, doms, schema)
 	return res.Contained, err
 }

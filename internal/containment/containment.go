@@ -6,37 +6,61 @@
 // panic ("the constraint is violated"). Constraint Q is subsumed by a
 // set of constraints {P1, ..., Pk} when every violation of Q is also a
 // violation of some Pi; then, knowing the Pi hold, Q must hold too.
+// Category (i) asks this of Q itself (Subsumes). Category (ii) asks it
+// of Q after a known update U, with the Pi known to hold before U
+// (SubsumesAfterUpdate). Both run one test: category (i) is category
+// (ii) with no update.
 //
 // The reduction, following the paper's outline: rewrite each panic
 // rule of Q into variable-free form (program variables become fresh
 // c-variables, making implicit pattern matching explicit), freeze its
-// positive body literals into a canonical c-table database, and
-// evaluate the candidate containers on it. The canonical database is
-// the *generic violating instance*:
+// body literals into a canonical c-table database of the pre-update
+// state, and evaluate the candidate containers on it. The canonical
+// database is the *generic violating instance*: a literal P(u) of Q
+// reads the post-update state post(P) = (pre(P) \ deletes) ∪ inserts,
+// and with no update the two states coincide.
 //
-//   - each positive literal's frozen tuple is present with condition
-//     true (the violation requires it);
-//   - every other base relation's content is unknown, modelled by a
-//     universal tuple of fresh c-variables guarded by a fresh {0,1}
-//     selector ē — the relation *may* contain an arbitrary tuple
-//     (ē = 1) or not (ē = 0);
-//   - a negated literal ¬B(u) of Q restricts B's universal tuple with
-//     the complement condition z̄ ≠ u (B may contain anything but u),
-//     exactly the construction sketched in the paper for q9.
+//   - A positive literal P(u) freezes to a pre-state tuple u. If U does
+//     not touch P, the tuple is present with condition true (the
+//     violation requires it). If U touches P, a fresh {0,1} selector s̄
+//     guards it, with the assumption (s̄ = 1 ∧ u ∉ deletes) ∨
+//     u ∈ inserts: u is in the post state because it survived the
+//     deletes or because U inserted it.
+//   - A negated literal ¬P(u) adds the assumption u ∉ inserts, and each
+//     frozen positive tuple of P must differ from u unless U deletes
+//     it (a state cannot both contain and not contain a tuple).
+//   - Every base relation's unknown content is one universal tuple z̄
+//     of fresh c-variables guarded by a fresh {0,1} selector ē: the
+//     relation *may* contain an arbitrary tuple (ē = 1) or not
+//     (ē = 0). Each negated literal ¬P(u) restricts P's universal tuple
+//     to z̄ ≠ u unless U deletes z̄ — the construction sketched in the
+//     paper for q9.
 //
-// Q is contained when, under Q's own comparison conditions, the
+// With no update, no s̄ is allocated and every clause naming an insert
+// or a delete drops out. Q is contained when, under the assumption —
+// those clauses plus Q's own comparisons and head condition — the
 // containers derive panic in every possible world of the canonical
-// database — a single solver implication check.
+// database: a single solver implication check.
 //
-// The test is sound (a "contained" answer is always correct — verified
-// by the property tests against explicit enumeration) and complete on
-// the paper's examples; like the paper's verifiers it may answer
-// "not contained" conservatively on programs outside the fragment it
-// handles (the caller reports that as "unknown").
+// The panic rules of a target must be flat: their bodies reference
+// only base relations. A target that is not flat is first unfolded by
+// Flatten; one Flatten rejects (recursive or negated intermediates)
+// fails with an error wrapping ErrOutsideFragment. Containers may use
+// intermediate predicates freely (C_lb and C_s do).
+//
+// The test is complete on the paper's examples. Its "contained"
+// answers are checked against explicit enumeration by the property
+// tests, and under negation they are not always sound: one universal
+// tuple cannot stand for several unknown tuples of a relation a
+// container negates (TestSubsumptionSoundness draws such cases in some
+// runs). Like the paper's verifiers it may also answer "not contained"
+// conservatively; the caller reports that as "unknown".
 package containment
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -45,6 +69,7 @@ import (
 	"faure/internal/ctable"
 	"faure/internal/faurelog"
 	"faure/internal/obs"
+	"faure/internal/rewrite"
 	"faure/internal/solver"
 )
 
@@ -137,14 +162,15 @@ type Result struct {
 	Witness string
 }
 
+// ErrOutsideFragment marks a target the subsumption test cannot
+// process: Flatten could not unfold it into flat panic rules.
+var ErrOutsideFragment = errors.New("outside the subsumption fragment")
+
 // Subsumes reports whether the violation of target implies the
 // violation of at least one of the known constraints, i.e. whether
-// {known} ⊨ target. Domains supplies the c-variable domains of the
-// shared schema (finite domains sharpen the implication check).
-//
-// The target's panic rules must be flat: their bodies may reference
-// only base (EDB) relations, as the paper's T1 and T2 do. Containers
-// may use intermediate predicates freely (C_lb and C_s do).
+// {known} ⊨ target (category (i)). Domains supplies the c-variable
+// domains of the shared schema (finite domains sharpen the implication
+// check). A target that is not flat is flattened first.
 func Subsumes(target Constraint, known []Constraint, doms solver.Domains, schema *Schema) (Result, error) {
 	return SubsumesWith(target, known, doms, schema, Opts{})
 }
@@ -160,12 +186,32 @@ func Subsumes(target Constraint, known []Constraint, doms solver.Domains, schema
 // containment, so the caller must degrade to Unknown rather than trust
 // a partial answer.
 func SubsumesWith(target Constraint, known []Constraint, doms solver.Domains, schema *Schema, opt Opts) (Result, error) {
+	return subsumption(target, nil, known, doms, schema, opt)
+}
+
+// subsumption is the one test behind both categories. u is nil for
+// category (i) and the update for category (ii); it also picks the
+// span and counter names. A nil u builds the same canonical databases
+// as an empty update.
+func subsumption(target Constraint, u *rewrite.Update, known []Constraint, doms solver.Domains, schema *Schema, opt Opts) (Result, error) {
+	if !flat(target.Program) {
+		prog, err := Flatten(target.Program)
+		if err != nil {
+			return Result{}, fmt.Errorf("containment: target %s is %w: %w", target.Name, ErrOutsideFragment, err)
+		}
+		target = Constraint{Name: target.Name, Program: prog}
+	}
+	spanName, counter := "containment.subsumes", "containment.category_i."
+	var up rewrite.Update
+	if u != nil {
+		spanName, counter, up = "containment.subsumes_after_update", "containment.category_ii.", *u
+	}
 	o := opt.Obs
 	obsOn := o != nil && o.Enabled()
 	ob := obs.OrNop(o)
 	var span obs.Span
 	if obsOn {
-		span = ob.StartSpan("containment.subsumes",
+		span = ob.StartSpan(spanName,
 			obs.String("target", target.Name), obs.Int("known", int64(len(known))))
 		defer span.End()
 	}
@@ -173,10 +219,7 @@ func SubsumesWith(target Constraint, known []Constraint, doms solver.Domains, sc
 	if err != nil {
 		return Result{}, err
 	}
-	base := map[string]int{}
-	for rel, n := range target.BaseRelations() {
-		base[rel] = n
-	}
+	base := target.BaseRelations()
 	for _, k := range known {
 		for rel, n := range k.BaseRelations() {
 			if prev, ok := base[rel]; ok && prev != n {
@@ -185,46 +228,58 @@ func SubsumesWith(target Constraint, known []Constraint, doms solver.Domains, sc
 			base[rel] = n
 		}
 	}
-	idb := target.Program.IDB()
+	for _, ch := range slices.Concat(up.Inserts, up.Deletes) {
+		if n, ok := base[ch.Pred]; ok && len(ch.Values) != n {
+			return Result{}, fmt.Errorf("containment: change %v has arity %d, relation %s has %d", ch, len(ch.Values), ch.Pred, n)
+		}
+	}
 	for ri, r := range target.Program.Rules {
-		if r.Head.Pred != PanicPred {
-			return Result{}, fmt.Errorf("containment: target %s has non-flat rule %v (unfold intermediate predicates first)", target.Name, r)
-		}
-		for _, a := range r.Body {
-			if idb[a.Pred] {
-				return Result{}, fmt.Errorf("containment: target %s rule %v references intermediate predicate %s", target.Name, r, a.Pred)
-			}
-		}
 		if obsOn {
-			ob.Count("containment.category_i.checks", 1)
+			ob.Count(counter+"checks", 1)
 		}
 		if err := opt.Budget.Check(fmt.Sprintf("containment mapping %d", ri)); err != nil {
 			return Result{}, err
 		}
-		ok, err := ruleContained(r, combined, base, doms, schema, span, ri, opt)
+		ok, err := ruleContained(r, up, combined, base, doms, schema, span, ri, opt)
 		if err != nil {
 			return Result{}, err
 		}
 		if !ok {
 			if obsOn {
-				ob.Count("containment.category_i.not_contained", 1)
+				ob.Count(counter+"not_contained", 1)
 				span.SetAttrs(obs.Bool("contained", false))
 			}
 			return Result{Contained: false, Witness: r.String()}, nil
 		}
 	}
 	if obsOn {
-		ob.Count("containment.category_i.contained", 1)
+		ob.Count(counter+"contained", 1)
 		span.SetAttrs(obs.Bool("contained", true))
 	}
 	return Result{Contained: true}, nil
 }
 
+// flat reports whether every rule of prog derives panic from base
+// relations alone, so the test needs no Flatten.
+func flat(prog *faurelog.Program) bool {
+	for _, r := range prog.Rules {
+		if r.Head.Pred != PanicPred {
+			return false
+		}
+		for _, a := range r.Body {
+			if a.Pred == PanicPred {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // ruleContained freezes one panic rule of the contained candidate into
 // a canonical database and checks that the container program derives
-// panic on it under the rule's own conditions. parent/o carry the
+// panic on it under the rule's own conditions. parent and opt carry the
 // observation context (a "containment.mapping" child span per rule).
-func ruleContained(r faurelog.Rule, container *faurelog.Program, base map[string]int, doms solver.Domains, schema *Schema, parent obs.Span, ruleIdx int, opt Opts) (bool, error) {
+func ruleContained(r faurelog.Rule, u rewrite.Update, container *faurelog.Program, base map[string]int, doms solver.Domains, schema *Schema, parent obs.Span, ruleIdx int, opt Opts) (bool, error) {
 	o := opt.Obs
 	obsOn := o != nil && o.Enabled()
 	var span obs.Span
@@ -232,8 +287,7 @@ func ruleContained(r faurelog.Rule, container *faurelog.Program, base map[string
 		span = parent.StartChild("containment.mapping", obs.Int("rule", int64(ruleIdx)))
 		defer span.End()
 	}
-	fr := NewFreezer(doms, schema)
-	db, assumption, err := fr.CanonicalDB(r, base)
+	db, assumption, err := canonicalDB(r, base, u, doms, schema)
 	if err != nil {
 		return false, err
 	}
@@ -260,7 +314,8 @@ func ruleContained(r faurelog.Rule, container *faurelog.Program, base map[string
 		s.SetObserver(o)
 		span.SetAttrs(obs.Int("panic_tuples", int64(len(panics))))
 	}
-	// A rule whose own conditions are contradictory never fires and is
+	// A rule whose own conditions are contradictory — or whose
+	// post-update violation is unrealisable — never fires and is
 	// vacuously contained.
 	sat, err := s.Satisfiable(assumption)
 	if err != nil {
@@ -310,52 +365,43 @@ func renameAtom(a faurelog.Atom, rename map[string]string) faurelog.Atom {
 	return a
 }
 
-// Freezer builds canonical databases from rule bodies, allocating
-// fresh c-variables for frozen program variables, for universal
-// tuples, and for their presence selectors.
-type Freezer struct {
-	base    solver.Domains
-	schema  *Schema
-	counter int
-}
-
-// NewFreezer returns a freezer whose canonical databases inherit the
-// given base domains and (optionally) attribute typing.
-func NewFreezer(doms solver.Domains, schema *Schema) *Freezer {
-	return &Freezer{base: doms, schema: schema}
-}
-
-// Fresh allocates a fresh c-variable name with the given hint.
-func (fr *Freezer) Fresh(hint string) string {
-	fr.counter++
-	return "frz_" + hint + "_" + strconv.Itoa(fr.counter)
-}
-
-// CanonicalDB freezes the rule into the generic violating instance
-// over the given base schema (relation name → arity); see the package
-// comment for the construction. It returns the database and the
-// assumption formula A (the rule's own comparisons and head condition
-// under the frozen variables).
-func (fr *Freezer) CanonicalDB(r faurelog.Rule, base map[string]int) (*ctable.Database, *cond.Formula, error) {
+// canonicalDB freezes rule r into the generic violating instance of
+// the pre-update state over the given base schema (relation name →
+// arity); the package comment describes the construction, and an
+// empty update gives category (i)'s. It returns the database and the
+// assumption formula. Fresh c-variables are numbered in freezing
+// order, literal by literal, so the construction is deterministic.
+func canonicalDB(r faurelog.Rule, base map[string]int, u rewrite.Update, doms solver.Domains, schema *Schema) (*ctable.Database, *cond.Formula, error) {
 	db := ctable.NewDatabase()
-	for name, d := range fr.base {
+	for name, d := range doms {
 		db.DeclareVar(name, d)
 	}
+	counter := 0
+	fresh := func(hint string, d solver.Domain) cond.Term {
+		counter++
+		name := "frz_" + hint + "_" + strconv.Itoa(counter)
+		db.DeclareVar(name, d)
+		return cond.CVar(name)
+	}
+	touched := u.Touched()
 	varMap := map[string]cond.Term{}
-	// frz freezes one argument term at a typed column position; a
-	// variable's domain comes from the first column it is frozen at.
-	frz := func(t faurelog.Term, rel string, col int) cond.Term {
-		if t.Kind != faurelog.TVar {
-			return t.Symbol()
+	// freeze freezes a literal's arguments; a variable's domain comes
+	// from the first column it is frozen at.
+	freeze := func(a faurelog.Atom) []cond.Term {
+		row := make([]cond.Term, len(a.Args))
+		for i, t := range a.Args {
+			if t.Kind != faurelog.TVar {
+				row[i] = t.Symbol()
+				continue
+			}
+			v, ok := varMap[t.Name]
+			if !ok {
+				v = fresh(t.Name, schema.ColDomain(a.Pred, i))
+				varMap[t.Name] = v
+			}
+			row[i] = v
 		}
-		v, ok := varMap[t.Name]
-		if !ok {
-			name := fr.Fresh(t.Name)
-			v = cond.CVar(name)
-			varMap[t.Name] = v
-			db.DeclareVar(name, fr.schema.ColDomain(rel, col))
-		}
-		return v
+		return row
 	}
 	ensure := func(pred string, arity int) *ctable.Table {
 		tbl := db.Table(pred)
@@ -370,42 +416,58 @@ func (fr *Freezer) CanonicalDB(r faurelog.Rule, base map[string]int) (*ctable.Da
 		return tbl
 	}
 
-	// Frozen tuples for the positive literals (freezing in literal
-	// order fixes variable naming deterministically).
-	positives := map[string][][]cond.Term{}
+	assumption := cond.True()
+	// Positive literals: one pre-state tuple each, in literal order,
+	// with its presence condition (true, or s̄ = 1 where U touches the
+	// relation).
+	type frozenRow struct {
+		row     []cond.Term
+		present *cond.Formula
+	}
+	positives := map[string][]frozenRow{}
 	for _, a := range r.Body {
 		if a.Neg {
 			continue
 		}
 		tbl := ensure(a.Pred, len(a.Args))
-		row := make([]cond.Term, len(a.Args))
-		for i, t := range a.Args {
-			row[i] = frz(t, a.Pred, i)
+		row := freeze(a)
+		present := cond.True()
+		if touched[a.Pred] {
+			present = cond.Compare(fresh("s", solver.BoolDomain()), cond.Eq, cond.Int(1))
+			assumption = cond.And(assumption, cond.Or(
+				cond.And(present, notDeleted(row, u, a.Pred)),
+				inserted(row, u, a.Pred),
+			))
 		}
-		positives[a.Pred] = append(positives[a.Pred], row)
-		if err := tbl.Insert(ctable.NewTuple(row, cond.True())); err != nil {
+		positives[a.Pred] = append(positives[a.Pred], frozenRow{row, present})
+		if err := tbl.Insert(ctable.NewTuple(row, present)); err != nil {
 			return nil, nil, err
 		}
 	}
 
-	// Collect, per relation, the exclusion patterns from the rule's
-	// negated literals.
+	// Negated literals: u is absent from the post state.
 	exclusions := map[string][][]cond.Term{}
 	for _, a := range r.Body {
 		if !a.Neg {
 			continue
 		}
 		ensure(a.Pred, len(a.Args))
-		row := make([]cond.Term, len(a.Args))
-		for i, t := range a.Args {
-			row[i] = frz(t, a.Pred, i)
+		row := freeze(a)
+		if touched[a.Pred] {
+			assumption = cond.And(assumption, cond.Not(inserted(row, u, a.Pred)))
 		}
 		exclusions[a.Pred] = append(exclusions[a.Pred], row)
+		for _, fp := range positives[a.Pred] {
+			escape := differs(fp.row, row)
+			if touched[a.Pred] {
+				escape = cond.Or(escape, cond.Not(notDeleted(fp.row, u, a.Pred)))
+			}
+			assumption = cond.And(assumption, cond.Or(cond.Not(fp.present), escape))
+		}
 	}
 
-	// One guarded universal tuple per base relation: the relation may
-	// contain an arbitrary tuple (selector ē = 1), restricted to
-	// differ from every excluded pattern.
+	// One guarded universal tuple per base relation, restricted to
+	// differ from every excluded pattern that U does not delete.
 	names := make([]string, 0, len(base))
 	for rel := range base {
 		names = append(names, rel)
@@ -416,55 +478,30 @@ func (fr *Freezer) CanonicalDB(r faurelog.Rule, base map[string]int) (*ctable.Da
 		tbl := ensure(rel, arity)
 		row := make([]cond.Term, arity)
 		for i := range row {
-			name := fr.Fresh("z")
-			db.DeclareVar(name, fr.schema.ColDomain(rel, i))
-			row[i] = cond.CVar(name)
+			row[i] = fresh("z", schema.ColDomain(rel, i))
 		}
-		selName := fr.Fresh("e")
-		db.DeclareVar(selName, solver.BoolDomain())
-		parts := []*cond.Formula{cond.Compare(cond.CVar(selName), cond.Eq, cond.Int(1))}
+		parts := []*cond.Formula{cond.Compare(fresh("e", solver.BoolDomain()), cond.Eq, cond.Int(1))}
 		for _, excl := range exclusions[rel] {
-			var diff []*cond.Formula
-			for i, u := range excl {
-				diff = append(diff, cond.Compare(row[i], cond.Ne, u))
+			esc := differs(row, excl)
+			if touched[rel] {
+				esc = cond.Or(esc, cond.Not(notDeleted(row, u, rel)))
 			}
-			parts = append(parts, cond.Or(diff...))
+			parts = append(parts, esc)
 		}
 		if err := tbl.Insert(ctable.NewTuple(row, cond.And(parts...))); err != nil {
 			return nil, nil, err
 		}
 	}
 
-	// The assumption: the rule's own comparisons and head condition
-	// under the frozen variables, plus the implicit disequalities
-	// between each positive frozen tuple and each same-relation
-	// exclusion (a state cannot both contain and not contain the same
-	// tuple).
-	bind := map[string]cond.Term{}
-	for v, t := range varMap {
-		bind[v] = t
-	}
-	assumption := cond.True()
-	for rel, excls := range exclusions {
-		for _, ex := range excls {
-			for _, fp := range positives[rel] {
-				var diff []*cond.Formula
-				for i := range ex {
-					diff = append(diff, cond.Compare(fp[i], cond.Ne, ex[i]))
-				}
-				assumption = cond.And(assumption, cond.Or(diff...))
-			}
-		}
-	}
 	for _, c := range r.Comps {
-		f, err := instantiateComp(c, bind)
+		f, err := instantiateComp(c, varMap)
 		if err != nil {
 			return nil, nil, err
 		}
 		assumption = cond.And(assumption, f)
 	}
 	if r.HeadCond != nil {
-		f, err := InstantiateCondExpr(r.HeadCond, bind)
+		f, err := InstantiateCondExpr(r.HeadCond, varMap)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -136,16 +137,37 @@ func TestMultiRuleTarget(t *testing.T) {
 	}
 }
 
-func TestNonFlatTargetRejected(t *testing.T) {
+// TestNonFlatTarget: a target defined through an intermediate
+// predicate is flattened before the test; one Flatten cannot unfold —
+// a recursive or a negated intermediate — fails with
+// ErrOutsideFragment.
+func TestNonFlatTarget(t *testing.T) {
 	target := MustConstraint("T", `
 		panic() :- v(x).
 		v(x) :- r(x).
 	`)
 	container := MustConstraint("C", `panic() :- r(x).`)
-	if _, err := Subsumes(target, []Constraint{container}, solver.Domains{}, nil); err == nil {
-		t.Errorf("non-flat target should be rejected")
+	if !subsumes(t, target, container) {
+		t.Errorf("the flattened target panic() :- r(x) is contained in the container")
+	}
+	for _, src := range outsideFragment {
+		target := MustConstraint("T", src)
+		if _, err := Subsumes(target, []Constraint{container}, solver.Domains{}, nil); !errors.Is(err, ErrOutsideFragment) {
+			t.Errorf("target %q: err = %v, want ErrOutsideFragment", src, err)
+		}
 	}
 }
+
+// outsideFragment lists targets Flatten rejects: a recursive and a
+// negated intermediate.
+var outsideFragment = []string{`
+		panic() :- v(x, x).
+		v(x, y) :- r(x), r(y).
+		v(x, z) :- v(x, y), v(y, z).
+	`, `
+		panic() :- r(x), not v(x).
+		v(x) :- s(x).
+	`}
 
 func TestConstraintRequiresPanic(t *testing.T) {
 	if _, err := NewConstraint("X", faurelog.MustParse(`v(x) :- r(x).`)); err == nil {

@@ -6,7 +6,6 @@ import (
 
 	"faure/internal/cond"
 	"faure/internal/faurelog"
-	"faure/internal/solver"
 )
 
 // Flatten rewrites a constraint program so that every panic rule
@@ -15,7 +14,8 @@ import (
 // matching definitions fans out into k rules). The result is the union
 // of conjunctive violation patterns the containment test needs, so
 // constraints like C_lb — whose panic is defined through a helper
-// predicate — can be *targets* of Subsumes, not just containers.
+// predicate — can be *targets* of Subsumes, not just containers; the
+// test calls it on every target that is not flat.
 //
 // Limits, returned as errors: recursive intermediates cannot be
 // unfolded into a finite union, and negated intermediate literals
@@ -278,21 +278,4 @@ func substHeadCond(ce faurelog.CondExpr, apply func(faurelog.Term) faurelog.Term
 	default:
 		return ce
 	}
-}
-
-// SubsumesFlattened runs the category (i) test after flattening the
-// target, so constraints defined through intermediate predicates (like
-// the paper's C_lb and C_s) can appear on the left of ⊆.
-func SubsumesFlattened(target Constraint, known []Constraint, doms solver.Domains, schema *Schema) (Result, error) {
-	return SubsumesFlattenedWith(target, known, doms, schema, Opts{})
-}
-
-// SubsumesFlattenedWith is SubsumesFlattened with full cross-cutting
-// context; see SubsumesWith for budget semantics.
-func SubsumesFlattenedWith(target Constraint, known []Constraint, doms solver.Domains, schema *Schema, opt Opts) (Result, error) {
-	flat, err := Flatten(target.Program)
-	if err != nil {
-		return Result{}, err
-	}
-	return SubsumesWith(Constraint{Name: target.Name, Program: flat}, known, doms, schema, opt)
 }

@@ -84,9 +84,9 @@ func TestFlattenRejectsNegatedIntermediate(t *testing.T) {
 	}
 }
 
-// TestSubsumesFlattenedClb: with flattening, the paper's C_lb can be
-// the *target*: each of its three violation patterns is checked
-// separately. C_lb is subsumed by itself (sanity) and by the union of
+// TestSubsumesFlattenedClb: Subsumes flattens a target that is not
+// flat, so the paper's C_lb can be the *target*: each of its three
+// violation patterns is checked separately. C_lb is subsumed by itself (sanity) and by the union of
 // three simpler constraints covering its patterns.
 func TestSubsumesFlattenedClb(t *testing.T) {
 	clb := MustConstraint("C_lb", `
@@ -95,9 +95,9 @@ func TestSubsumesFlattenedClb(t *testing.T) {
 		vt(x, CS, p) :- r(x, CS, p), not lb(x, CS).
 		vt(x, CS, p) :- r(x, CS, p), p != 7000.
 	`)
-	res, err := SubsumesFlattened(clb, []Constraint{clb}, solver.Domains{}, nil)
+	res, err := Subsumes(clb, []Constraint{clb}, solver.Domains{}, nil)
 	if err != nil {
-		t.Fatalf("SubsumesFlattened: %v", err)
+		t.Fatalf("Subsumes: %v", err)
 	}
 	if !res.Contained {
 		t.Errorf("C_lb should subsume itself after flattening")
@@ -105,18 +105,18 @@ func TestSubsumesFlattenedClb(t *testing.T) {
 	// A container covering anything touching CS subsumes all three
 	// patterns.
 	general := MustConstraint("G", `panic() :- r(x, CS, p).`)
-	res, err = SubsumesFlattened(clb, []Constraint{general}, solver.Domains{}, nil)
+	res, err = Subsumes(clb, []Constraint{general}, solver.Domains{}, nil)
 	if err != nil {
-		t.Fatalf("SubsumesFlattened: %v", err)
+		t.Fatalf("Subsumes: %v", err)
 	}
 	if !res.Contained {
 		t.Errorf("every C_lb violation mentions r(_, CS, _), so G subsumes it")
 	}
 	// A container requiring port 80 does not.
 	narrow := MustConstraint("N", `panic() :- r(x, CS, 80).`)
-	res, err = SubsumesFlattened(clb, []Constraint{narrow}, solver.Domains{}, nil)
+	res, err = Subsumes(clb, []Constraint{narrow}, solver.Domains{}, nil)
 	if err != nil {
-		t.Fatalf("SubsumesFlattened: %v", err)
+		t.Fatalf("Subsumes: %v", err)
 	}
 	if res.Contained {
 		t.Errorf("the port-80 constraint must not subsume C_lb")

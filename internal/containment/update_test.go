@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"errors"
 	"testing"
 
 	"faure/internal/cond"
@@ -106,15 +107,24 @@ func TestAfterUpdateArityMismatch(t *testing.T) {
 	}
 }
 
-// TestAfterUpdateNonFlatTarget is rejected like in category (i).
+// TestAfterUpdateNonFlatTarget: category (ii) flattens a target that
+// is not flat as category (i) does, and fails with ErrOutsideFragment
+// on the same targets.
 func TestAfterUpdateNonFlatTarget(t *testing.T) {
 	target := MustConstraint("T", `
 		panic() :- v(x).
 		v(x) :- r(x).
 	`)
-	u := rewrite.Update{}
-	if _, err := SubsumesAfterUpdate(target, u, []Constraint{MustConstraint("C", `panic() :- r(x).`)}, solver.Domains{}, nil); err == nil {
-		t.Errorf("non-flat target should be rejected")
+	container := MustConstraint("C", `panic() :- r(x).`)
+	u := rewrite.Update{Inserts: []rewrite.Change{change("s", "A")}}
+	if !subsumesAfter(t, target, u, solver.Domains{}, nil, container) {
+		t.Errorf("the flattened target panic() :- r(x) is contained in the container")
+	}
+	for _, src := range outsideFragment {
+		target := MustConstraint("T", src)
+		if _, err := SubsumesAfterUpdate(target, u, []Constraint{container}, solver.Domains{}, nil); !errors.Is(err, ErrOutsideFragment) {
+			t.Errorf("target %q: err = %v, want ErrOutsideFragment", src, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -330,6 +331,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// The whole ladder runs against one immutable generation: a
 	// concurrent update cannot shear the state mid-request.
 	gen := s.Current()
+	if err := checkArities(gen.DB, append([]containment.Constraint{target}, known...), u); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	var db *ctable.Database
 	if !req.NoState {
 		db = gen.DB
@@ -362,6 +367,42 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		resp.Violation = rep.ViolationCond.String()
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// checkArities checks that each base relation a verify request names,
+// in its constraints and its update, has one arity, and the arity its
+// table has in db. The ladder would fail on a mismatch, and the fault
+// is the request's.
+func checkArities(db *ctable.Database, cs []containment.Constraint, u *rewrite.Update) error {
+	arity := map[string]int{}
+	use := func(rel string, n int) error {
+		want, ok := arity[rel]
+		if !ok {
+			if tbl := db.Table(rel); tbl != nil {
+				want, ok = tbl.Schema.Arity(), true
+			}
+		}
+		if ok && want != n {
+			return fmt.Errorf("relation %s used with arity %d, expected %d", rel, n, want)
+		}
+		arity[rel] = n
+		return nil
+	}
+	for _, c := range cs {
+		for rel, n := range c.BaseRelations() {
+			if err := use(rel, n); err != nil {
+				return fmt.Errorf("%s: %w", c.Name, err)
+			}
+		}
+	}
+	if u != nil {
+		for _, ch := range slices.Concat(u.Inserts, u.Deletes) {
+			if err := use(ch.Pred, len(ch.Values)); err != nil {
+				return fmt.Errorf("update: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -169,6 +169,18 @@ func TestHTTPVerify(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/verify", verifyRequest{}, nil); code != 400 {
 		t.Errorf("missing target = %d, want 400", code)
 	}
+	// So are relations whose arity disagrees within the request or with
+	// the generation's fwd/3.
+	for _, req := range []verifyRequest{
+		{Target: "panic() :- fwd(F0, 1, 9).", Update: "+fwd(F0, 4)."},
+		{Target: "panic() :- fwd(F0, 1, 9).", Update: "+fwd(F0, 4).", NoState: true},
+		{Target: "panic() :- fwd(F0, 1, 9).", Known: []string{"panic() :- fwd(F0, a)."}},
+		{Target: "panic() :- fwd(F0, a)."},
+	} {
+		if code := postJSON(t, ts.URL+"/v1/verify", req, nil); code != 400 {
+			t.Errorf("arity mismatch %+v = %d, want 400", req, code)
+		}
+	}
 }
 
 func TestHTTPVerifyBudgetDegradesToUnknown(t *testing.T) {

@@ -16,6 +16,7 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -154,15 +155,14 @@ func (v *Verifier) CategoryI(target containment.Constraint, known []containment.
 		span = o.StartSpan("verify.category_i", obs.String("target", target.Name))
 		defer span.End()
 	}
-	target, ferr := flattenIfNeeded(target)
-	if ferr != nil {
+	res, err := containment.SubsumesWith(target, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget})
+	if errors.Is(err, containment.ErrOutsideFragment) {
 		// A target outside the subsumption fragment (recursive or
 		// negated intermediates) is not an error: this level simply
 		// cannot decide it.
 		v.countVerdict("category_i", Unknown, "outside-fragment")
-		return Report{Verdict: Unknown, Reason: ferr.Error()}, nil
+		return Report{Verdict: Unknown, Reason: err.Error()}, nil
 	}
-	res, err := containment.SubsumesWith(target, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget})
 	if err != nil {
 		if rep, err, ok := v.degraded("category_i", span, err); ok {
 			return rep, err
@@ -188,12 +188,11 @@ func (v *Verifier) CategoryII(target containment.Constraint, u rewrite.Update, k
 		span = o.StartSpan("verify.category_ii", obs.String("target", target.Name))
 		defer span.End()
 	}
-	target, ferr := flattenIfNeeded(target)
-	if ferr != nil {
-		v.countVerdict("category_ii", Unknown, "outside-fragment")
-		return Report{Verdict: Unknown, Reason: ferr.Error()}, nil
-	}
 	res, err := containment.SubsumesAfterUpdateWith(target, u, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget})
+	if errors.Is(err, containment.ErrOutsideFragment) {
+		v.countVerdict("category_ii", Unknown, "outside-fragment")
+		return Report{Verdict: Unknown, Reason: err.Error()}, nil
+	}
 	if err != nil {
 		if rep, err, ok := v.degraded("category_ii", span, err); ok {
 			return rep, err
@@ -386,18 +385,4 @@ func (v *Verifier) ExplainViolations(target containment.Constraint, db *ctable.D
 		return nil, err
 	}
 	return found.trees, nil
-}
-
-// flattenIfNeeded inlines a target's intermediate predicates so the
-// subsumption tests can process it; flat targets pass through
-// unchanged.
-func flattenIfNeeded(target containment.Constraint) (containment.Constraint, error) {
-	if len(target.Program.IDB()) <= 1 {
-		return target, nil
-	}
-	flat, err := containment.Flatten(target.Program)
-	if err != nil {
-		return containment.Constraint{}, fmt.Errorf("verify: target %s: %w", target.Name, err)
-	}
-	return containment.Constraint{Name: target.Name, Program: flat}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"faure/internal/ctable"
 	"faure/internal/faurelog"
 	"faure/internal/network"
+	"faure/internal/obs"
 	"faure/internal/rewrite"
 )
 
@@ -346,5 +347,28 @@ func TestLadderRecursiveTargetFallsThrough(t *testing.T) {
 	}
 	if level != "direct" || rep.Verdict != Violated {
 		t.Errorf("cyclic state should violate: %v at %s", rep.Verdict, level)
+	}
+	// With an update, both categories count the target as outside the
+	// fragment before direct evaluation of the post-update state decides.
+	reg := obs.NewRegistry()
+	v.Obs = reg
+	u := rewrite.Update{Inserts: []rewrite.Change{{Pred: "link", Values: []cond.Term{cond.Int(3), cond.Int(4)}}}}
+	rep, level, err = v.Ladder(target, known, &u, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if level != "direct" || rep.Verdict != Holds {
+		t.Errorf("updated acyclic state should hold directly: %v at %s (%s)", rep.Verdict, level, rep.Reason)
+	}
+	c := reg.Snapshot().Counters
+	for key, want := range map[string]int64{
+		"verify.unknown_reason.outside-fragment": 2,
+		"verify.category_i.runs":                 1,
+		"verify.category_ii.runs":                1,
+		"verify.ladder.decided_at.direct":        1,
+	} {
+		if c[key] != want {
+			t.Errorf("counter %s = %d, want %d", key, c[key], want)
+		}
 	}
 }
