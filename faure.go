@@ -381,9 +381,14 @@ func WithBudget(opts Options, b *BudgetTracker) Options {
 }
 
 // WithContext returns a copy of opts whose evaluation stops (with a
-// Truncated result) when ctx is cancelled or its deadline passes.
+// Truncated result) when ctx is cancelled or its deadline passes: it
+// governs opts with a tracker that has no limits but ctx. A tracker
+// opts already holds wins; build it with NewBudget(ctx, ...) to have
+// both.
 func WithContext(opts Options, ctx context.Context) Options {
-	opts.Context = ctx
+	if opts.Budget == nil {
+		opts.Budget = budget.New(ctx, budget.Limits{})
+	}
 	return opts
 }
 
@@ -582,7 +587,8 @@ type (
 	// Service is the resident verification service: an MVCC-style
 	// snapshot store of evaluated generations, served concurrently,
 	// with a single writer draining updates through the rewrite chain
-	// and the incremental evaluator, journaled to a write-ahead log.
+	// and re-evaluating the touched partitions, journaled to a
+	// write-ahead log.
 	Service = serve.Server
 	// ServiceConfig assembles a Service.
 	ServiceConfig = serve.Config

@@ -291,7 +291,7 @@ func ruleContained(r faurelog.Rule, u rewrite.Update, container *faurelog.Progra
 	if err != nil {
 		return false, err
 	}
-	res, err := faurelog.Eval(container, db, faurelog.Options{Observer: o, Budget: opt.Budget})
+	res, err := faurelog.Eval(container, db, faurelog.Options{Observer: obs.Under(span, o), Budget: opt.Budget})
 	if err != nil {
 		return false, err
 	}

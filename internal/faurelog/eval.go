@@ -62,37 +62,22 @@ type Options struct {
 	// split. Nil disables observation: the hot paths then pay a single
 	// flag check per site and never read the clock for spans.
 	Observer obs.Observer
-	// Context cancels the evaluation; it is polled between fixpoint
-	// rounds and rule applications, and every few thousand solver steps
-	// and derived conditions within one. Nil means background (never
-	// canceled). Cancellation is not an error: Eval returns the partial
-	// result derived so far, flagged Truncated.
-	Context context.Context
 	// Budget is the live resource tracker the evaluation charges —
-	// solver steps, derived tuples, condition sizes, wall clock. Nil
-	// disables accounting (unless Context is set, which still enables
-	// cancellation polling). Callers that want one budget to span
-	// several phases (the verifier's ladder) pass the same tracker to
-	// each; the first phase to exhaust it trips them all.
+	// solver steps, derived tuples, condition sizes, wall clock — and
+	// the context that cancels it (budget.New(ctx, budget.Limits{})
+	// bounds nothing else). It is polled between fixpoint rounds and
+	// rule applications, and every few thousand solver steps and
+	// derived conditions within one. A trip or a cancellation is not an
+	// error: Eval returns the partial result derived so far, flagged
+	// Truncated. Nil disables accounting. Callers that want one budget
+	// to span several phases (the verifier's ladder) pass the same
+	// tracker to each; the first phase to exhaust it trips them all.
 	Budget *budget.B
 	// Workers is ignored: evaluation is sequential.
 	//
 	// Deprecated: the field remains only so that existing callers that
 	// set it still compile; it has no effect.
 	Workers int
-}
-
-// tracker resolves the effective budget: an explicit tracker wins, a
-// bare Context still gets cancellation polling, neither means nil (all
-// checks compile to a pointer comparison).
-func (o Options) tracker() *budget.B {
-	if o.Budget != nil {
-		return o.Budget
-	}
-	if o.Context != nil {
-		return budget.New(o.Context, budget.Limits{})
-	}
-	return nil
 }
 
 func (o Options) maxIters() int {
@@ -239,7 +224,7 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 		arity: map[string]int{},
 		o:     obs.OrNop(opts.Observer),
 		obsOn: opts.Observer != nil && opts.Observer.Enabled(),
-		bud:   opts.tracker(),
+		bud:   opts.Budget,
 
 		internStart: cond.InternStatsNow(),
 	}
@@ -368,9 +353,8 @@ func (e *engine) eval(err error) (*Result, error) {
 	}
 	// The increment's commit point: propagation has converged and the
 	// result database is about to be assembled. Tests arm this point to
-	// make a mid-update crash deterministic (the serve writer treats the
-	// error as a failed apply and rolls back to the previous
-	// generation).
+	// fail a converged increment deterministically and check that the
+	// caller's database comes through untouched.
 	if err == nil && e.since != nil && faultinject.Armed() {
 		err = faultinject.Fire(faultinject.FaurelogIncrementCommit)
 	}

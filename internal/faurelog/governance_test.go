@@ -73,7 +73,7 @@ func TestEvalBudgetKinds(t *testing.T) {
 		opts Options
 		kind budget.Kind
 	}{
-		{"canceled-context", Options{Context: canceled}, budget.Canceled},
+		{"canceled-context", Options{Budget: budget.New(canceled, budget.Limits{})}, budget.Canceled},
 		{"deadline", Options{Budget: budget.New(nil, budget.Limits{Timeout: time.Nanosecond})}, budget.Deadline},
 		{"solver-steps", Options{Budget: budget.New(nil, budget.Limits{SolverSteps: 1})}, budget.SolverSteps},
 		{"tuples", Options{Budget: budget.New(nil, budget.Limits{Tuples: 4})}, budget.Tuples},

@@ -38,8 +38,8 @@ const seedCheckEvery = 256
 // increment began (the seeded facts, and what earlier strata derived
 // from them) instead of applying every rule in full.
 //
-// Cancellation is honored exactly as in Eval: Options.Context (or a
-// canceled Options.Budget) is polled while the new facts are seeded
+// Cancellation is honored exactly as in Eval: Options.Budget, and the
+// context it was built on, is polled while the new facts are seeded
 // and at every propagation round, so a client disconnect aborts the
 // increment at its next checkpoint with a Truncated partial result
 // instead of running to completion. prev is never mutated — the seeded
@@ -48,8 +48,7 @@ const seedCheckEvery = 256
 // shares prev's tuple arrays as Eval's shares its input's (see
 // Result). The faultinject point faurelog.increment.commit fires after
 // propagation converges, immediately before the result database is
-// assembled, so crash-recovery tests can fail the commit
-// deterministically.
+// assembled, so tests can fail the commit deterministically.
 func EvalIncrement(prog *Program, prev *ctable.Database, added map[string][]ctable.Tuple, opts Options) (*Result, error) {
 	for _, r := range prog.Rules {
 		for _, a := range r.Body {

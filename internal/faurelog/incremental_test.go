@@ -297,7 +297,7 @@ func TestIncrementHonorsCancellation(t *testing.T) {
 	for i := 0; i < 4*seedCheckEvery; i++ {
 		adds = append(adds, linkTuple(2+i, 3+i, nil))
 	}
-	res, err := EvalIncrement(prog, base.DB, map[string][]ctable.Tuple{"link": adds}, Options{Context: ctx})
+	res, err := EvalIncrement(prog, base.DB, map[string][]ctable.Tuple{"link": adds}, Options{Budget: budget.New(ctx, budget.Limits{})})
 	if err != nil {
 		t.Fatalf("cancellation must degrade, not error: %v", err)
 	}
@@ -316,8 +316,7 @@ func TestIncrementHonorsCancellation(t *testing.T) {
 
 // TestIncrementCommitFaultDegrades: the faurelog.increment.commit
 // point converts a converged increment into a failure without
-// corrupting the caller's database — the hook crash-recovery tests
-// hang off.
+// corrupting the caller's database.
 func TestIncrementCommitFaultDegrades(t *testing.T) {
 	defer faultinject.Disarm()
 	db, err := ParseDatabase(`link(1, 2).`)

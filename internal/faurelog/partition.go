@@ -171,12 +171,9 @@ func (pt Partitions) Touch(touched map[cond.Term]bool, pred string, values []con
 // outside the touched partitions; in parent, the database Splice
 // keeps rows from, Splice would keep what it derived even where the
 // update removed its source. The caller must then evaluate unscoped.
-// parent and in may be the same database.
 func (pt Partitions) Restrict(parent, in *ctable.Database, touched map[cond.Term]bool) (*ctable.Database, bool) {
-	if parent != in {
-		if _, ok := pt.restrict(parent, nil); !ok {
-			return nil, false
-		}
+	if _, ok := pt.restrict(parent, nil); !ok {
+		return nil, false
 	}
 	return pt.restrict(in, touched)
 }

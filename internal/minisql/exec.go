@@ -22,22 +22,11 @@ type Options struct {
 	// MaxLoopIterations bounds LOOP blocks; 0 means the default
 	// (100000).
 	MaxLoopIterations int
-	// Context cancels execution; it is polled between statements and
-	// LOOP passes. Nil means background.
-	Context context.Context
 	// Budget is the live resource tracker the run charges (solver
-	// steps, inserted tuples, wall clock); nil disables accounting.
+	// steps, inserted tuples, wall clock) and the context that cancels
+	// it; it is polled between statements and LOOP passes. Nil disables
+	// accounting.
 	Budget *budget.B
-}
-
-func (o Options) tracker() *budget.B {
-	if o.Budget != nil {
-		return o.Budget
-	}
-	if o.Context != nil {
-		return budget.New(o.Context, budget.Limits{})
-	}
-	return nil
 }
 
 func (o Options) maxIters() int {
@@ -72,7 +61,7 @@ func Run(script *Script, db *ctable.Database, opts Options) (*ctable.Database, *
 		store: relstore.FromDatabase(db),
 		sol:   solver.New(db.Doms),
 		opts:  opts,
-		bud:   opts.tracker(),
+		bud:   opts.Budget,
 		attrs: map[string][]string{},
 	}
 	ex.sol.SetBudget(ex.bud)

@@ -89,6 +89,24 @@ func OrNop(o Observer) Observer {
 	return o
 }
 
+// Under returns an observer whose StartSpan opens a child of parent
+// and whose other methods forward to o; with a nil parent (observation
+// off) it returns o. A layer hands it to the layers it calls, so their
+// spans nest under its own.
+func Under(parent Span, o Observer) Observer {
+	if parent == nil {
+		return o
+	}
+	return under{Observer: o, parent: parent}
+}
+
+type under struct {
+	Observer
+	parent Span
+}
+
+func (u under) StartSpan(name string, attrs ...Attr) Span { return u.parent.StartChild(name, attrs...) }
+
 type nopObserver struct{}
 
 func (nopObserver) StartSpan(string, ...Attr) Span        { return nopSpan{} }

@@ -147,8 +147,9 @@ func insertBody(n int64) string {
 	return fmt.Sprintf("+fwd('bench/%d', %d, %d).\n", n, 2*n, 2*n+1)
 }
 
-// BenchmarkServeUpdateInsert: insert-only update on the incremental
-// path, durably journaled (the default production configuration).
+// BenchmarkServeUpdateInsert: insert-only update, re-deriving the one
+// prefix it names, durably journaled (the default production
+// configuration).
 func BenchmarkServeUpdateInsert(b *testing.B) { benchUpdates(b, true, insertBody) }
 
 // BenchmarkServeUpdateInsertNoWAL: the same insert without a WAL —

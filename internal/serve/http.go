@@ -331,7 +331,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// The whole ladder runs against one immutable generation: a
 	// concurrent update cannot shear the state mid-request.
 	gen := s.Current()
-	if err := checkArities(gen.DB, append([]containment.Constraint{target}, known...), u); err != nil {
+	if err := checkArities(gen.DB, target, known, u, !req.NoState); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -371,9 +371,11 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 
 // checkArities checks that each base relation a verify request names,
 // in its constraints and its update, has one arity, and the arity its
-// table has in db. The ladder would fail on a mismatch, and the fault
-// is the request's.
-func checkArities(db *ctable.Database, cs []containment.Constraint, u *rewrite.Update) error {
+// table has in db. When the request reads the state, direct evaluation
+// runs the target over db, so every relation the target names, derived
+// ones included, must also have its db table's arity. The ladder would
+// fail on a mismatch, and the fault is the request's.
+func checkArities(db *ctable.Database, target containment.Constraint, known []containment.Constraint, u *rewrite.Update, state bool) error {
 	arity := map[string]int{}
 	use := func(rel string, n int) error {
 		want, ok := arity[rel]
@@ -388,10 +390,19 @@ func checkArities(db *ctable.Database, cs []containment.Constraint, u *rewrite.U
 		arity[rel] = n
 		return nil
 	}
-	for _, c := range cs {
+	for _, c := range append([]containment.Constraint{target}, known...) {
 		for rel, n := range c.BaseRelations() {
 			if err := use(rel, n); err != nil {
 				return fmt.Errorf("%s: %w", c.Name, err)
+			}
+		}
+	}
+	if state {
+		for _, r := range target.Program.Rules {
+			for _, a := range append([]faurelog.Atom{r.Head}, r.Body...) {
+				if tbl := db.Table(a.Pred); tbl != nil && tbl.Schema.Arity() != len(a.Args) {
+					return fmt.Errorf("%s: relation %s used with arity %d, the state holds it with arity %d", target.Name, a.Pred, len(a.Args), tbl.Schema.Arity())
+				}
 			}
 		}
 	}

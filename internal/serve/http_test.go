@@ -176,10 +176,18 @@ func TestHTTPVerify(t *testing.T) {
 		{Target: "panic() :- fwd(F0, 1, 9).", Update: "+fwd(F0, 4).", NoState: true},
 		{Target: "panic() :- fwd(F0, 1, 9).", Known: []string{"panic() :- fwd(F0, a)."}},
 		{Target: "panic() :- fwd(F0, a)."},
+		// A derived relation the target redefines with another arity
+		// than the generation's reach/3 is evaluated over the state.
+		{Target: "reach(f, a) :- fwd(f, a, b). panic() :- reach(F0, 1)."},
 	} {
 		if code := postJSON(t, ts.URL+"/v1/verify", req, nil); code != 400 {
 			t.Errorf("arity mismatch %+v = %d, want 400", req, code)
 		}
+	}
+	// Without the state the target's reach/2 meets no reach table.
+	noState := verifyRequest{Target: "reach(f, a) :- fwd(f, a, b). panic() :- reach(F0, 1).", NoState: true}
+	if code := postJSON(t, ts.URL+"/v1/verify", noState, nil); code != 200 {
+		t.Errorf("derived arity without the state = %d, want 200", code)
 	}
 }
 

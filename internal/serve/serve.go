@@ -69,10 +69,10 @@ type Config struct {
 	Checksum bool
 	// Obs receives the server's metrics and spans (nil disables):
 	// serve.generation / serve.inflight / serve.queue gauges,
-	// serve.update_* counters (serve.update_scope.partition or .all and
-	// serve.update_eval.increment or .full name each applied update's
-	// path), per-endpoint latency distributions, and each update's
-	// serve.update_stage.rewrite / .eval / .splice / .wal durations.
+	// serve.update_* counters (serve.update_scope.partition or .all
+	// names each applied update's scope), per-endpoint latency
+	// distributions, and each update's serve.update_stage.rewrite /
+	// .eval / .splice / .wal durations.
 	Obs obs.Observer
 	// Log is the structured logger (nil means slog.Default).
 	Log *slog.Logger
@@ -122,10 +122,6 @@ type applyResp struct {
 type Server struct {
 	cfg  Config
 	prog *faurelog.Program
-	// positive gates the incremental apply path: EvalIncrement requires
-	// a negation-free program, so servers with negated policies fall
-	// back to full re-evaluation on every update.
-	positive bool
 	// part maps every predicate the program names to its partition
 	// column (faurelog.Partition); nil when the program is
 	// unpartitioned, and every update is then applied unscoped.
@@ -176,19 +172,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Doms == nil {
 		cfg.Doms = cfg.Base.Doms
 	}
-	positive := true
-	for _, r := range cfg.Program.Rules {
-		for _, a := range r.Body {
-			if a.Neg {
-				positive = false
-			}
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
 		prog:       cfg.Program,
-		positive:   positive,
 		part:       faurelog.Partition(cfg.Program),
 		committed:  map[string]uint64{},
 		updates:    make(chan applyReq, cfg.QueueDepth),
@@ -309,19 +296,20 @@ func (s *Server) publish(gen *Generation) {
 }
 
 // applyOnce materialises one update on a private copy of gen and
-// re-derives the program: the category-(ii) cheap path (EvalIncrement
-// seeded with just the inserted facts) when the update is insert-only
-// and the program is positive, a full re-evaluation otherwise. When
-// the program is partitioned and the update names a constant partition
-// value wherever it changes a relation the program names, that
-// evaluator runs over only the rows of the touched partitions, and the
-// result is spliced into the parent generation's derived relations
-// (see partitions and faurelog.Partitions). It never mutates gen — on
-// any error the private copy is garbage and gen remains the server's
-// consistent state. A truncated evaluation is a failure here: a
-// partial fixpoint must never be published as a generation, because
-// absence of a derived tuple would then be observable as a (wrong)
-// decisive answer.
+// re-derives the program with faurelog.Eval. When the program is
+// partitioned and the update names a constant partition value wherever
+// it changes a relation the program names, the evaluation runs over
+// only the post-update base's rows in the touched partitions, and its
+// result is spliced into the parent generation's derived relations (see
+// partitions and faurelog.Partitions); otherwise it runs over the whole
+// post-update base. Either way every derived relation holds exactly the
+// rows a from-scratch evaluation of the new base derives; only their
+// order depends on the update history. It never mutates gen — on any
+// error the private copy is garbage and gen remains the server's
+// consistent state. A truncated evaluation is a failure here: a partial
+// fixpoint must never be published as a generation, because absence of
+// a derived tuple would then be observable as a (wrong) decisive
+// answer.
 func (s *Server) applyOnce(gen *Generation, u rewrite.Update, bud *budget.B) (g *Generation, err error) {
 	// A poisoned update must degrade this apply, not kill the writer
 	// goroutine (a goroutine panic would take the whole process down).
@@ -332,31 +320,18 @@ func (s *Server) applyOnce(gen *Generation, u rewrite.Update, bud *budget.B) (g 
 		return nil, err
 	}
 	rewritten := time.Now()
-	incremental := s.positive && len(u.Deletes) == 0
 	in := newBase
-	if incremental {
-		in = gen.DB
-	}
 	touched, scoped := s.partitions(u)
 	if scoped {
 		// The parent generation is checked too: Splice keeps its rows.
-		if r, ok := s.part.Restrict(gen.DB, in, touched); ok {
+		if r, ok := s.part.Restrict(gen.DB, newBase, touched); ok {
 			in = r
 		} else {
 			scoped = false
 		}
 	}
 	evalStart := time.Now()
-	var res *faurelog.Result
-	if incremental {
-		added := map[string][]ctable.Tuple{}
-		for _, c := range u.Inserts {
-			added[c.Pred] = append(added[c.Pred], ctable.NewTuple(c.Values, cond.True()))
-		}
-		res, err = faurelog.EvalIncrement(s.prog, in, added, s.evalOptions(bud))
-	} else {
-		res, err = faurelog.Eval(s.prog, in, s.evalOptions(bud))
-	}
+	res, err := faurelog.Eval(s.prog, in, s.evalOptions(bud))
 	if err != nil {
 		return nil, err
 	}
@@ -365,33 +340,19 @@ func (s *Server) applyOnce(gen *Generation, u rewrite.Update, bud *budget.B) (g 
 	}
 	spliceStart := time.Now()
 	db := res.DB
-	switch {
-	case scoped:
+	if scoped {
 		db = &ctable.Database{Tables: maps.Clone(newBase.Tables), Doms: newBase.Doms}
 		for pred := range s.prog.IDB() {
 			db.AddTable(s.part.Splice(pred, gen.DB.Table(pred), res.DB.Table(pred), touched))
 		}
-	case incremental:
-		// The incremental result carries prev's EDB tables (deduped
-		// inserts); swap in the authoritative post-update base relations
-		// so DB and Base agree exactly.
-		for name, tbl := range newBase.Tables {
-			if !s.prog.IDB()[name] {
-				db.AddTable(tbl)
-			}
-		}
 	}
 	next := &Generation{Seq: gen.Seq + 1, Base: newBase, DB: db, Created: time.Now()}
 	if s.obsOn {
-		scope, evaluator := "serve.update_scope.all", "serve.update_eval.full"
+		scope := "serve.update_scope.all"
 		if scoped {
 			scope = "serve.update_scope.partition"
 		}
-		if incremental {
-			evaluator = "serve.update_eval.increment"
-		}
 		s.o.Count(scope, 1)
-		s.o.Count(evaluator, 1)
 		s.o.ObserveDuration("serve.update_stage.rewrite", rewritten.Sub(start))
 		s.o.ObserveDuration("serve.update_stage.eval", spliceStart.Sub(evalStart))
 		// The splice stage is all the scoping costs: the restriction
@@ -592,9 +553,9 @@ func (s *Server) applyUpdate(id string, u rewrite.Update) applyResp {
 }
 
 // rollback records a failed apply. The previous generation stays
-// published and untouched — ApplyBudgeted and EvalIncrement both work
-// on private copies (their documented atomicity contracts), so there
-// is nothing to undo.
+// published and untouched — ApplyBudgeted and Eval both work on
+// private copies (their documented atomicity contracts), so there is
+// nothing to undo.
 func (s *Server) rollback(u rewrite.Update, err error) applyResp {
 	s.rollbacks.Add(1)
 	if s.obsOn {

@@ -110,7 +110,7 @@ func TestServeBasics(t *testing.T) {
 		t.Fatalf("duplicate id reapplied: applied=%v seq=%d", applied, g2.Seq)
 	}
 
-	// A delete update takes the full re-evaluation path.
+	// A delete applies and advances the generation too.
 	g3, _, err := s.Apply(context.Background(), "u2", mustUpdate(t, "-fwd(F0, 2, 4)."))
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestCrashRecovery(t *testing.T) {
 
 	points := []faultinject.Point{
 		faultinject.RewriteApply,
-		faultinject.FaurelogIncrementCommit,
+		faultinject.FaurelogIteration,
 		faultinject.ServeWALAppend,
 		faultinject.ServeWALSync,
 		faultinject.ServePublish,
@@ -197,13 +197,9 @@ func TestCrashRecovery(t *testing.T) {
 			s := newTestServer(t, func(c *Config) { c.WALPath = wal })
 			updates := streamUpdates(t)
 
-			// First two updates apply cleanly; the third (a delete, except
-			// for the increment-commit point which only fires on the
-			// insert-only path) fails at the armed point.
-			crashAt := 2
-			if pt == faultinject.FaurelogIncrementCommit {
-				crashAt = 1
-			}
+			// First two updates apply cleanly; the third fails at the
+			// armed point.
+			const crashAt = 2
 			for i := 0; i < crashAt; i++ {
 				if _, _, err := s.Apply(context.Background(), fmt.Sprintf("s%d", i), updates[i]); err != nil {
 					t.Fatalf("update %d: %v", i, err)
@@ -471,9 +467,9 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestNegatedProgramFallsBackToFullEval: a program with negation still
-// serves and applies updates (via from-scratch re-evaluation).
-func TestNegatedProgramFallsBackToFullEval(t *testing.T) {
+// TestNegatedProgramUpdates: a program with negation serves, and an
+// update re-derives its negated relation: the new node is unreachable.
+func TestNegatedProgramUpdates(t *testing.T) {
 	db, err := faurelog.ParseDatabase(`
 		fwd(F0, 1, 2).
 		fwd(F0, 2, 3).
@@ -492,9 +488,6 @@ func TestNegatedProgramFallsBackToFullEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Shutdown(context.Background())
-	if s.positive {
-		t.Fatal("program with negation classified positive")
-	}
 	if got := s.Current().DB.Table("unreachable").Len(); got != 1 {
 		t.Fatalf("unreachable = %d, want 1 (node 1 itself)", got)
 	}
@@ -504,6 +497,7 @@ func TestNegatedProgramFallsBackToFullEval(t *testing.T) {
 	if got := s.Current().DB.Table("unreachable").Len(); got != 2 {
 		t.Fatalf("after +node(4): unreachable = %d, want 2", got)
 	}
+	checkAgainstScratch(t, prog, s.Current())
 }
 
 // TestBadBaseFailsBoot: a base the program cannot run over fails New

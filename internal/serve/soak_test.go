@@ -144,10 +144,9 @@ func TestServeSoak(t *testing.T) {
 	}()
 	// Update stream: inserts spread over four partitions (prefixes F0
 	// to F3), every third one also deleting the previous insert, so
-	// scoped splices of one and of two partitions, on the incremental
-	// and the full path, run against the concurrent readers. Ids are
-	// unique; on an ambiguous failure the same id and body are retried
-	// (idempotency makes that safe).
+	// scoped splices of one and of two partitions run against the
+	// concurrent readers. Ids are unique; on an ambiguous failure the
+	// same id and body are retried (idempotency makes that safe).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -184,22 +183,22 @@ func TestServeSoak(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
-	// Fault injector: periodically arm a pre-durability point so some
-	// updates roll back mid-soak, then disarm. (WAL points would stick
-	// the log into read-only and end the stream, so the soak injects
-	// apply-path faults only; the WAL points get their own crash test.)
+	// Fault injector: periodically arm the rewrite point so some updates
+	// roll back mid-soak, then disarm. (WAL points would stick the log
+	// into read-only and end the stream, and the evaluator's points also
+	// fire in the readers' evaluations, which must never fail; those
+	// points get TestCrashRecovery.)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		points := []faultinject.Point{faultinject.RewriteApply, faultinject.FaurelogIncrementCommit}
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				faultinject.Disarm()
 				return
 			case <-time.After(150 * time.Millisecond):
 			}
-			faultinject.Arm(points[i%len(points)], 1, errors.New("soak fault"))
+			faultinject.Arm(faultinject.RewriteApply, 1, errors.New("soak fault"))
 			time.Sleep(30 * time.Millisecond)
 			faultinject.Disarm()
 		}

@@ -3,8 +3,9 @@
 // once, evaluates to a warm c-table database, and then serves
 // concurrent verification and query requests against an MVCC-style
 // snapshot store while a single writer goroutine drains a stream of
-// network updates through the category-(ii) rewrite chain and the
-// incremental evaluator.
+// network updates through the category-(ii) rewrite chain and
+// re-derives the program after each one, over only the partitions the
+// update touches when it can.
 //
 // The robustness contract, in one paragraph: reads never observe a
 // half-applied update (generations are immutable and published with an

@@ -155,7 +155,7 @@ func (v *Verifier) CategoryI(target containment.Constraint, known []containment.
 		span = o.StartSpan("verify.category_i", obs.String("target", target.Name))
 		defer span.End()
 	}
-	res, err := containment.SubsumesWith(target, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget})
+	res, err := containment.SubsumesWith(target, known, v.Doms, v.Schema, containment.Opts{Obs: obs.Under(span, v.Obs), Budget: v.Budget})
 	if errors.Is(err, containment.ErrOutsideFragment) {
 		// A target outside the subsumption fragment (recursive or
 		// negated intermediates) is not an error: this level simply
@@ -188,7 +188,7 @@ func (v *Verifier) CategoryII(target containment.Constraint, u rewrite.Update, k
 		span = o.StartSpan("verify.category_ii", obs.String("target", target.Name))
 		defer span.End()
 	}
-	res, err := containment.SubsumesAfterUpdateWith(target, u, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget})
+	res, err := containment.SubsumesAfterUpdateWith(target, u, known, v.Doms, v.Schema, containment.Opts{Obs: obs.Under(span, v.Obs), Budget: v.Budget})
 	if errors.Is(err, containment.ErrOutsideFragment) {
 		v.countVerdict("category_ii", Unknown, "outside-fragment")
 		return Report{Verdict: Unknown, Reason: err.Error()}, nil
@@ -219,7 +219,7 @@ func (v *Verifier) Direct(target containment.Constraint, db *ctable.Database) (r
 		span = o.StartSpan("verify.direct", obs.String("target", target.Name))
 		defer span.End()
 	}
-	res, err := faurelog.Eval(target.Program, db, faurelog.Options{Observer: v.Obs, Budget: v.Budget})
+	res, err := faurelog.Eval(target.Program, db, faurelog.Options{Observer: obs.Under(span, v.Obs), Budget: v.Budget})
 	if err != nil {
 		return Report{}, err
 	}
@@ -324,6 +324,10 @@ func (v *Verifier) Ladder(target containment.Constraint, known []containment.Con
 		}
 		return rep, level, nil
 	}
+	// The tests run under the ladder's span.
+	sub := *v
+	sub.Obs = obs.Under(span, v.Obs)
+	v = &sub
 	rep, err = v.CategoryI(target, known)
 	if err != nil {
 		return Report{}, "", err

@@ -252,6 +252,49 @@ func TestLadder(t *testing.T) {
 	}
 }
 
+// TestLadderSpansNest: each layer opens its spans under the span of
+// the layer that called it, so the built-in scenario's two ladders give
+// two roots, and category (i)'s containment mappings hold their
+// evaluations.
+func TestLadderSpansNest(t *testing.T) {
+	reg := obs.NewRegistry()
+	v := enterpriseVerifier()
+	v.Obs = reg
+	known := []containment.Constraint{network.Clb(), network.Cs()}
+	u := network.ListingFourUpdate()
+	for _, target := range []containment.Constraint{network.T1(), network.T2()} {
+		if _, _, err := v.Ladder(target, known, &u, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roots := reg.Snapshot().Spans
+	if len(roots) != 2 || roots[0].Name != "verify.ladder" || roots[1].Name != "verify.ladder" {
+		var names []string
+		for _, r := range roots {
+			names = append(names, r.Name)
+		}
+		t.Fatalf("roots %v, want two verify.ladder spans", names)
+	}
+	path := []string{"verify.category_i", "containment.subsumes", "containment.mapping", "eval"}
+	var walk func(sp *obs.SpanSnapshot, depth int) bool
+	walk = func(sp *obs.SpanSnapshot, depth int) bool {
+		if depth == len(path) {
+			return true
+		}
+		for _, c := range sp.Children {
+			if c.Name == path[depth] && walk(c, depth+1) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, r := range roots {
+		if !walk(r, 0) {
+			t.Errorf("no verify.ladder → %s path under %v", strings.Join(path, " → "), r.Attrs)
+		}
+	}
+}
+
 func TestVerdictString(t *testing.T) {
 	cases := map[Verdict]string{Holds: "holds", Violated: "violated", Conditional: "conditional", Unknown: "unknown"}
 	for v, want := range cases {
